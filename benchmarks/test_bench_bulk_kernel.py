@@ -18,30 +18,18 @@ Three layers, by cost:
 
 from __future__ import annotations
 
-import importlib
 import time
 
 import pytest
 
-from busytime.algorithms.first_fit import BULK_FIRST_FIT_MIN, first_fit
-
-# ``busytime.algorithms`` re-exports the ``first_fit`` *function* under the
-# submodule's name, so a plain ``import busytime.algorithms.first_fit as m``
-# would bind the function; go through importlib for the module object.
-_ff_module = importlib.import_module("busytime.algorithms.first_fit")
+from busytime.algorithms.first_fit import (
+    _builder_first_fit,
+    _bulk_first_fit,
+    first_fit,
+)
 from busytime.core.bounds import best_lower_bound
-from busytime.core.profile_index import profile_index
 from busytime.core.schedule import verify_schedule
 from busytime.generators import uniform_random_instance
-
-
-@pytest.fixture(autouse=True)
-def _bulk_routing_on():
-    """Pin the flag on for this module: E21's claims are about the bulk
-    kernel, so the ``BUSYTIME_PROFILE_INDEX=off`` CI leg must not turn
-    these tests into builder-vs-builder no-ops."""
-    with profile_index("on"):
-        yield
 
 #: Constant-density scaling family (n / horizon = 20, g = 10, seed = 7) —
 #: the same points ``scripts/bench_trajectory.py`` extends the committed
@@ -59,13 +47,9 @@ def _instance(n: int):
 
 def test_bulk_kernel_bit_identical_to_builder_5k():
     inst = _instance(5000)
-    builder_schedule = first_fit(inst)
+    builder_schedule = _builder_first_fit(inst)
     assert "kernel" not in builder_schedule.meta
-    try:
-        _ff_module.BULK_FIRST_FIT_MIN = 1
-        kernel_schedule = first_fit(inst)
-    finally:
-        _ff_module.BULK_FIRST_FIT_MIN = BULK_FIRST_FIT_MIN
+    kernel_schedule = _bulk_first_fit(inst)
     assert kernel_schedule.meta.get("kernel") == "bulk"
     assert kernel_schedule.meta["processing_order"] == (
         builder_schedule.meta["processing_order"]

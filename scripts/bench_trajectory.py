@@ -14,7 +14,7 @@ artefacts the ROADMAP asks for).  It does two things:
 3. extends the trajectory with a constant-density large-n family
    (``n / horizon = 20``, up to n = 10^6) timing the vectorized bulk
    FirstFit kernel.  At every large point up to n = 100k the legacy
-   per-job builder path (``BUSYTIME_PROFILE_INDEX=off``) is re-run as the
+   per-job builder path (``_builder_first_fit``) is re-run as the
    differential baseline — assignments must match exactly and costs up to
    accumulation-order ulps — and at n = 10^6 (where the legacy path would
    take minutes) the schedule is validated with ``verify_schedule``'s
@@ -47,7 +47,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from busytime.algorithms.first_fit import first_fit  # noqa: E402
+from busytime.algorithms.first_fit import (  # noqa: E402
+    _builder_first_fit,
+    first_fit,
+)
 from busytime.core.intervals import span  # noqa: E402
 from busytime.core.schedule import verify_schedule  # noqa: E402
 from busytime.generators import uniform_random_instance  # noqa: E402
@@ -74,8 +77,6 @@ MILLION_JOB_BAR_SECONDS = 10.0
 def large_point(n: int, g: int, seed: int) -> dict:
     """Time the bulk kernel at a constant-density point; diff vs legacy."""
     import gc
-
-    from busytime.core.profile_index import profile_index
 
     horizon = n / LARGE_DENSITY
     inst = uniform_random_instance(n=n, g=g, horizon=horizon, seed=seed)
@@ -109,10 +110,9 @@ def large_point(n: int, g: int, seed: int) -> dict:
     }
 
     if n <= LEGACY_COMPARE_MAX:
-        with profile_index("off"):
-            t0 = time.perf_counter()
-            legacy = first_fit(inst)
-            legacy_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        legacy = _builder_first_fit(inst)
+        legacy_seconds = time.perf_counter() - t0
         costs_equal = abs(
             schedule.total_busy_time - legacy.total_busy_time
         ) <= 1e-9 * max(1.0, legacy.total_busy_time)

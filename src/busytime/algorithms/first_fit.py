@@ -42,9 +42,9 @@ __all__ = [
 ]
 
 #: Instance sizes from which ``first_fit`` routes to the vectorized
-#: saturation-bitmask kernel (unit demands only, flag not ``off``).  Below
-#: this the per-job builder path is already fast and, unlike the kernel
-#: path, validates the result in-call.
+#: saturation-bitmask kernel (unit demands only).  Below this the per-job
+#: builder path is already fast and, unlike the kernel path, validates the
+#: result in-call.
 BULK_FIRST_FIT_MIN = 50_000
 
 
@@ -60,9 +60,10 @@ def first_fit_order(jobs: Sequence[Job]) -> List[Job]:
 def _bulk_first_fit(instance: Instance) -> Optional[Schedule]:
     """FirstFit via the numpy saturation-bitmask kernel, or None to fall back.
 
-    Produces schedules **bit-identical** to the builder path (same
+    Produces schedules **bit-identical** to :func:`_builder_first_fit` (same
     processing order, same machine indices, same per-machine job order) —
-    pinned by the differential corpus.  The kernel bails out past
+    pinned by the differential corpus, ``tests/test_first_fit.py`` and the
+    E21 benchmark module.  The kernel bails out past
     :data:`~busytime.core.bulk.MAX_BITMASK_MACHINES` machines, in which
     case the caller falls back to the builder.  The returned schedule is
     *not* validated in-call (that is what makes the n = 10^6 wall-clock
@@ -101,6 +102,20 @@ def _bulk_first_fit(instance: Instance) -> Optional[Schedule]:
     )
 
 
+def _builder_first_fit(instance: Instance) -> Schedule:
+    """FirstFit one job at a time over the builder's per-machine profiles.
+
+    Handles every instance (demands, site capacity) and validates the
+    schedule in-call via :meth:`ScheduleBuilder.freeze`.
+    """
+    builder = ScheduleBuilder(instance, algorithm="first_fit")
+    order = first_fit_order(instance.jobs)
+    for job in order:
+        builder.assign_first_fit(job)
+    builder.meta["processing_order"] = [j.id for j in order]
+    return builder.freeze()
+
+
 def first_fit(instance: Instance) -> Schedule:
     """Schedule ``instance`` with the Section 2 FirstFit algorithm.
 
@@ -112,18 +127,10 @@ def first_fit(instance: Instance) -> Schedule:
     takes the per-job builder path and is validated before being returned.
     """
     if len(instance.jobs) >= BULK_FIRST_FIT_MIN and not instance.has_demands:
-        from ..core.events import _bulk_enabled
-
-        if _bulk_enabled():
-            schedule = _bulk_first_fit(instance)
-            if schedule is not None:
-                return schedule
-    builder = ScheduleBuilder(instance, algorithm="first_fit")
-    order = first_fit_order(instance.jobs)
-    for job in order:
-        builder.assign_first_fit(job)
-    builder.meta["processing_order"] = [j.id for j in order]
-    return builder.freeze()
+        schedule = _bulk_first_fit(instance)
+        if schedule is not None:
+            return schedule
+    return _builder_first_fit(instance)
 
 
 class FirstFitScheduler(FunctionScheduler):

@@ -1,10 +1,10 @@
 """Vectorized (numpy) bulk kernels for profiles, verification and FirstFit.
 
-The per-operation machine state (:class:`~busytime.core.events.SweepProfile`
-and :class:`~busytime.core.profile_index.IndexedSweepProfile`) answers one
-query at a time.  The helpers here answer *many* at once: they trade the
-incremental structure for whole-array numpy passes and are what lets the
-library reach n = 10^6 jobs (experiment E21) without leaving pure Python.
+The per-operation machine state (:class:`~busytime.core.events.SweepProfile`)
+answers one query at a time.  The helpers here answer *many* at once: they
+trade the incremental structure for whole-array numpy passes and are what
+lets the library reach n = 10^6 jobs (experiment E21) without leaving pure
+Python.
 
 Four groups of kernels:
 
@@ -23,13 +23,12 @@ Four groups of kernels:
   exactly when machine ``t`` already runs ``g`` jobs at breakpoint ``p``, so
   the lowest fitting machine for a job is the lowest zero bit of the OR of
   ``sat`` over the job's window.  Produces assignments **bit-identical** to
-  the per-job builder path (pinned by ``tests/test_profile_index.py`` and
-  the differential corpus), at ~10^5 jobs/second.
+  the per-job builder path (pinned by ``tests/test_first_fit.py`` and
+  ``benchmarks/test_bench_bulk_kernel.py``), at ~10^5 jobs/second.
 
 Everything in this module is pure functions over arrays — no profile
-object, no feature flag.  Callers (``first_fit``, ``verify_schedule``,
-``SweepProfile.from_intervals``) decide when to route here; the
-``BUSYTIME_PROFILE_INDEX=off`` leg never does.
+object.  Callers (``first_fit``, ``verify_schedule``,
+``SweepProfile.from_intervals``) route here by input size alone.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ import numpy as np
 __all__ = [
     "job_arrays",
     "profile_arrays",
-    "merge_profile_arrays",
-    "window_maxima",
     "machine_peaks",
     "first_fit_assign",
     "MAX_BITMASK_MACHINES",
@@ -127,159 +124,6 @@ def profile_arrays(
     )
 
 
-def merge_profile_arrays(
-    old_times: Sequence[float],
-    old_point: Sequence[int],
-    old_seg: Sequence[int],
-    starts: np.ndarray,
-    ends: np.ndarray,
-    demands: Optional[np.ndarray] = None,
-    old_dpoint: Optional[Sequence] = None,
-    old_dseg: Optional[Sequence] = None,
-) -> Tuple[List[float], List[int], List[int], Optional[list], Optional[list], float]:
-    """Merge a batch of closed intervals into existing sweep-profile arrays.
-
-    The vectorized twin of calling ``SweepProfile.add`` once per interval:
-    the old ``point``/``seg`` step function is interpolated onto the union
-    breakpoint grid (a point inside an old segment inherits that segment's
-    coverage, exactly like ``_ensure_breakpoint``), then the batch's
-    contribution is rank-counted on the same grid and added.  Requires a
-    non-empty old profile and a non-empty batch (callers special-case the
-    degenerate ends).
-
-    Demand-weighted twins are merged when ``old_dpoint``/``old_dseg`` are
-    given (pass copies of ``point``/``seg`` when upgrading a unit-demand
-    profile).  Integer demands stay exact Python ints; float demands are
-    merged in float64, which can differ from the sequential path by normal
-    accumulation-order ulps.
-    """
-    m = len(old_times)
-    ot = np.asarray(old_times, dtype=np.float64)
-    op = np.asarray(old_point)
-    osg = np.asarray(old_seg)
-    times = np.unique(np.concatenate([ot, starts, ends]))
-    u = len(times)
-    # Old contribution, interpolated onto the union grid.
-    j = np.searchsorted(ot, times, side="left")
-    jc = np.minimum(j, m - 1)
-    exact = ot[jc] == times
-    inside = (~exact) & (j > 0) & (j < m)
-    point = np.zeros(u, dtype=np.int64)
-    point[exact] = op[jc[exact]]
-    point[inside] = osg[j[inside] - 1]
-    js = np.searchsorted(ot, times, side="right")
-    seg = np.zeros(u, dtype=np.int64)
-    sv = js > 0
-    seg[sv] = osg[js[sv] - 1]  # old seg[-1] == 0 covers the past-the-end case
-    # Batch contribution by rank counting on the union grid.
-    ns = np.sort(starts)
-    ne = np.sort(ends)
-    sr = np.searchsorted(ns, times, side="right")
-    er_left = np.searchsorted(ne, times, side="left")
-    er_right = np.searchsorted(ne, times, side="right")
-    point += sr - er_left
-    seg += sr - er_right
-    seg[-1] = 0
-    gaps = np.diff(times)
-    measure = float(np.sum(gaps[seg[:-1] > 0]))
-    dpoint = dseg = None
-    if old_dpoint is not None:
-        odp = np.asarray(old_dpoint)
-        ods = np.asarray(old_dseg)
-        floaty = odp.dtype.kind == "f" or (
-            demands is not None and not bool(np.all(demands == np.floor(demands)))
-        )
-        dp = np.zeros(u, dtype=np.float64)
-        dp[exact] = odp[jc[exact]]
-        dp[inside] = ods[j[inside] - 1]
-        ds = np.zeros(u, dtype=np.float64)
-        ds[sv] = ods[js[sv] - 1]
-        if demands is None:
-            dp += sr - er_left
-            ds += sr - er_right
-        else:
-            s_order = np.lexsort((demands, starts))
-            e_order = np.lexsort((demands, ends))
-            s_coords = starts[s_order]
-            e_coords = ends[e_order]
-            s_cum = np.concatenate([[0.0], np.cumsum(demands[s_order])])
-            e_cum = np.concatenate([[0.0], np.cumsum(demands[e_order])])
-            dp += (
-                s_cum[np.searchsorted(s_coords, times, side="right")]
-                - e_cum[np.searchsorted(e_coords, times, side="left")]
-            )
-            ds += (
-                s_cum[np.searchsorted(s_coords, times, side="right")]
-                - e_cum[np.searchsorted(e_coords, times, side="right")]
-            )
-        ds[-1] = 0.0
-        if floaty:
-            dpoint = dp.tolist()
-            dseg = ds.tolist()
-        else:
-            dpoint = [int(v) for v in np.rint(dp).tolist()]
-            dseg = [int(v) for v in np.rint(ds).tolist()]
-    return times.tolist(), point.tolist(), seg.tolist(), dpoint, dseg, measure
-
-
-def window_maxima(
-    times: Sequence[float],
-    point: Sequence,
-    seg: Sequence,
-    qstarts: np.ndarray,
-    qends: np.ndarray,
-) -> np.ndarray:
-    """Per-query maximum of a sweep profile over closed windows.
-
-    ``out[k]`` is the profile's maximum over ``[qstarts[k], qends[k]]`` with
-    exactly ``SweepProfile.max_load_in``'s semantics: the left-edge segment
-    value when the window opens inside a segment, plus the maximum ``point``
-    value over the breakpoints the window contains.  Range maxima come from
-    a sparse table (one O(m log m) build per call, O(1) per query), so a
-    batch of q queries costs O((m + q) log m) instead of q linear slices.
-    """
-    nq = len(qstarts)
-    m = len(times)
-    if nq == 0:
-        return np.zeros(0, dtype=np.int64)
-    if m == 0:
-        return np.zeros(nq, dtype=np.int64)
-    t = np.asarray(times, dtype=np.float64)
-    p = np.asarray(point)
-    s = np.asarray(seg)
-    qs = np.asarray(qstarts, dtype=np.float64)
-    qe = np.asarray(qends, dtype=np.float64)
-    lo = np.searchsorted(t, qs, side="left")
-    hi = np.searchsorted(t, qe, side="right") - 1
-    loc = np.minimum(lo, m - 1)
-    exact = t[loc] == qs
-    inside = (~exact) & (lo > 0) & (lo < m)
-    out = np.zeros(nq, dtype=p.dtype)
-    out[inside] = s[lo[inside] - 1]
-    valid = hi >= lo
-    if np.any(valid):
-        levels = [p]
-        k = 1
-        while (1 << k) <= m:
-            prev = levels[-1]
-            half = 1 << (k - 1)
-            width = m - (1 << k) + 1
-            levels.append(np.maximum(prev[:width], prev[half : half + width]))
-            k += 1
-        ql = lo[valid]
-        qr = hi[valid]
-        ks = np.floor(np.log2(qr - ql + 1)).astype(np.int64)
-        res = np.empty(len(ql), dtype=p.dtype)
-        for k in range(len(levels)):
-            sel = ks == k
-            if not np.any(sel):
-                continue
-            tab = levels[k]
-            res[sel] = np.maximum(tab[ql[sel]], tab[qr[sel] - (1 << k) + 1])
-        out[valid] = np.maximum(out[valid], res)
-    return out
-
-
 def machine_peaks(
     starts: np.ndarray,
     ends: np.ndarray,
@@ -314,8 +158,9 @@ def machine_peaks(
     return peak_load, peak_demand, measure
 
 
-#: A machine index the saturation kernel can still encode: masks widen from
-#: int32 to int64 once machine 31 opens; beyond 63 machines the kernel bails
+#: The most machines the saturation kernel can encode: masks widen from
+#: int32 to int64 once machine 31 opens; beyond 63 machines (bit 62 is the
+#: highest an int64 mask carries with the sign bit unused) the kernel bails
 #: out (callers fall back to the per-job builder path).
 MAX_BITMASK_MACHINES = 63
 
@@ -371,7 +216,7 @@ def first_fit_assign(
             if target > cap:
                 if cap == 30:
                     sat = sat.astype(np.int64)
-                    cap = MAX_BITMASK_MACHINES
+                    cap = MAX_BITMASK_MACHINES - 1
                 else:
                     return None
             rows.append(np.zeros(num_points, dtype=np.int8))

@@ -44,14 +44,6 @@ from .intervals import Interval, Job, _as_interval
 #: itself from a few dozen intervals up.
 BULK_FROM_INTERVALS_MIN = 64
 
-
-def _bulk_enabled() -> bool:
-    """True unless the profile-index flag is ``off`` (the legacy CI leg)."""
-    from .profile_index import profile_index_mode
-
-    return profile_index_mode() != "off"
-
-
 __all__ = [
     "Event",
     "SweepProfile",
@@ -431,8 +423,9 @@ class SweepProfile:
 
         Equivalent to ``add``-ing every interval one by one, but computes the
         ``point``/``seg`` arrays directly by rank counting over the sorted
-        endpoint lists.  :class:`~busytime.core.intervals.Job` items carry
-        their ``demand`` into the profile; bare intervals count as demand 1.
+        endpoint lists (with numpy from :data:`BULK_FROM_INTERVALS_MIN`
+        items up).  :class:`~busytime.core.intervals.Job` items carry their
+        ``demand`` into the profile; bare intervals count as demand 1.
         """
         pairs = [
             (_as_interval(it), it.demand if isinstance(it, Job) else 1)
@@ -442,7 +435,7 @@ class SweepProfile:
         prof = cls()
         if not ivs:
             return prof
-        if len(ivs) >= BULK_FROM_INTERVALS_MIN and _bulk_enabled():
+        if len(ivs) >= BULK_FROM_INTERVALS_MIN:
             import numpy as np
 
             from .bulk import profile_arrays
@@ -631,73 +624,6 @@ class SweepProfile:
         self._measure -= lost
         self._count -= 1
 
-    def bulk_add(self, starts, ends, demands=None) -> None:
-        """Insert a whole batch of closed intervals in one vectorized pass.
-
-        Equivalent to calling :meth:`add` once per ``(starts[k], ends[k],
-        demands[k])`` triple, but rebuilt with numpy rank counting: the
-        existing profile is interpolated onto the union breakpoint grid and
-        the batch's contribution is added array-wise, so a load of ``b``
-        intervals costs ``O((k + b) log (k + b))`` instead of ``O(k * b)``.
-        ``demands=None`` means all-unit (the rigid model).  Under
-        ``BUSYTIME_PROFILE_INDEX=off`` the sequential path is used instead,
-        so the legacy CI leg keeps exercising per-operation ``add``.
-        """
-        import numpy as np
-
-        s_arr = np.asarray(starts, dtype=np.float64)
-        e_arr = np.asarray(ends, dtype=np.float64)
-        n = len(s_arr)
-        if n == 0:
-            return
-        bad = np.nonzero(e_arr < s_arr)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(
-                f"interval end ({e_arr[i]}) precedes start ({s_arr[i]})"
-            )
-        d_arr = None
-        if demands is not None:
-            d_arr = np.asarray(demands, dtype=np.float64)
-            if bool(np.all(d_arr == 1.0)):
-                d_arr = None
-        if not _bulk_enabled():
-            d_list = d_arr.tolist() if d_arr is not None else None
-            for k in range(n):
-                self.add(
-                    float(s_arr[k]),
-                    float(e_arr[k]),
-                    demand=d_list[k] if d_list is not None else 1,
-                )
-            return
-        from .bulk import merge_profile_arrays, profile_arrays
-
-        if d_arr is not None and self._dpoint is None:
-            self._upgrade_to_weighted()
-        if not self._times:
-            times, point, seg, dpoint, dseg, measure = profile_arrays(
-                s_arr, e_arr, d_arr
-            )
-        else:
-            times, point, seg, dpoint, dseg, measure = merge_profile_arrays(
-                self._times,
-                self._point,
-                self._seg,
-                s_arr,
-                e_arr,
-                d_arr,
-                old_dpoint=self._dpoint,
-                old_dseg=self._dseg,
-            )
-        self._times = times
-        self._point = point
-        self._seg = seg
-        if self._dpoint is not None:
-            self._dpoint = dpoint
-            self._dseg = dseg
-        self._measure = measure
-        self._count += n
-
     # -- queries --------------------------------------------------------------
 
     def load_at(self, t: float) -> int:
@@ -817,41 +743,6 @@ class SweepProfile:
                 return True
             return self.max_load_in(start, end) < g
         return self.max_demand_in(start, end) + demand <= g
-
-    def fits_many(self, starts, ends, g: int, demands=None) -> List[bool]:
-        """Batch :meth:`fits`: one bool per query window, vectorized.
-
-        ``demands=None`` means every query asks about a unit-demand job.
-        All queries are answered against the *current* profile state (the
-        batch does not insert anything).  Under ``BUSYTIME_PROFILE_INDEX=off``
-        this degenerates to a python loop over :meth:`fits`.
-        """
-        if not _bulk_enabled():
-            if demands is None:
-                return [self.fits(s, e, g) for s, e in zip(starts, ends)]
-            return [
-                self.fits(s, e, g, demand=d)
-                for s, e, d in zip(starts, ends, demands)
-            ]
-        import numpy as np
-
-        from .bulk import window_maxima
-
-        qs = np.asarray(starts, dtype=np.float64)
-        qe = np.asarray(ends, dtype=np.float64)
-        unit = demands is None or bool(np.all(np.asarray(demands) == 1))
-        if self._dpoint is None and unit:
-            if self._count < g:
-                return [True] * len(qs)
-            wmax = window_maxima(self._times, self._point, self._seg, qs, qe)
-            return (wmax < g).tolist()
-        if self._dpoint is None:
-            dpoint, dseg = self._point, self._seg
-        else:
-            dpoint, dseg = self._dpoint, self._dseg
-        d = 1 if demands is None else np.asarray(demands)
-        wmax = window_maxima(self._times, dpoint, dseg, qs, qe)
-        return (wmax + d <= g).tolist()
 
     def __len__(self) -> int:
         return self._count

@@ -117,9 +117,9 @@ class CostModel:
 
         Without a tariff this is the machine's busy time unchanged.  A
         constant tariff multiplies it (exact ``1.0 * b`` for the unit
-        tariff); a time-varying tariff integrates the machine profile's
-        covered measure band by band, which works against both the linear
-        :class:`~busytime.core.events.SweepProfile` and the indexed tree.
+        tariff); a time-varying tariff integrates the machine's
+        :class:`~busytime.core.events.SweepProfile` covered measure band by
+        band.
         """
         if self.tariff is None:
             return machine.busy_time

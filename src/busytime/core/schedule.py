@@ -33,7 +33,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .events import SweepProfile
 from .instance import Instance
-from .profile_index import make_profile, make_profile_from_intervals
 from .intervals import (
     Interval,
     Job,
@@ -98,13 +97,10 @@ class Machine:
         ``Machine`` is immutable, so the profile is derived lazily from the
         job tuple on first access and reused by every subsequent query
         (``busy_time``, ``peak_parallelism``, ``can_accommodate``, ...).
-        The backend — linear :class:`~busytime.core.events.SweepProfile` or
-        the indexed tree — follows the ``BUSYTIME_PROFILE_INDEX`` flag; both
-        answer the same API.
         """
         prof = self.__dict__.get("_profile")
         if prof is None:
-            prof = make_profile_from_intervals(self.jobs)
+            prof = SweepProfile.from_intervals(self.jobs)
             object.__setattr__(self, "_profile", prof)
         return prof
 
@@ -316,8 +312,8 @@ def verify_schedule(schedule: Schedule, mode: str = "full") -> None:
     per-machine oracle quantities with one vectorized lexsort + cumsum
     sweep per machine (:func:`~busytime.core.bulk.machine_peaks`) instead
     of the pure-python event sweeps — the same numbers from the same raw
-    job arrays, never from a profile, so independence from both profile
-    backends is preserved.  It is what makes validating the n = 10^6
+    job arrays, never from a profile, so independence from the profile is
+    preserved.  It is what makes validating the n = 10^6
     trajectory point tractable.
     """
     if mode not in ("full", "batch"):
@@ -451,34 +447,18 @@ class ScheduleBuilder:
         self.instance = instance
         self.algorithm = algorithm
         self._machines: List[List[Job]] = []
-        self._profiles: List = []
+        self._profiles: List[SweepProfile] = []
         self._assigned: Dict[int, int] = {}
-        self._universe: Optional[List[float]] = None
         self.meta: Dict[str, object] = {}
         # Site-wide capacity state: one extra profile over *all* machines,
         # pre-seeded with the inflexible background bands, consulted by
-        # ``fits`` alongside the per-machine check.  Placed coordinates are
-        # not known up front (windowed jobs slide), so this one stays on the
-        # universe-free path.
+        # ``fits`` alongside the per-machine check.
         self._site = None
         if instance.site_capacity is not None:
-            self._site = make_profile()
+            self._site = SweepProfile()
             if instance.background is not None:
                 for lo, hi, level in instance.background.bands():
                     self._site.add(lo, hi, demand=level)
-
-    def _endpoint_universe(self) -> List[float]:
-        """All distinct endpoint coordinates of the instance (computed once).
-
-        Every interval a machine profile will ever store has its endpoints
-        here, so handing this to :func:`make_profile` lets the indexed
-        backend build its tree once instead of rebuilding per coordinate.
-        """
-        if self._universe is None:
-            self._universe = sorted(
-                {c for j in self.instance.jobs for c in (j.start, j.end)}
-            )
-        return self._universe
 
     # -- queries --------------------------------------------------------------
 
@@ -581,12 +561,7 @@ class ScheduleBuilder:
     def open_machine(self) -> int:
         """Open a new, empty machine; returns its index."""
         self._machines.append([])
-        self._profiles.append(
-            make_profile(
-                universe=self._endpoint_universe,
-                universe_size=2 * self.instance.n,
-            )
-        )
+        self._profiles.append(SweepProfile())
         return len(self._machines) - 1
 
     def assign(self, machine_index: int, job: Job) -> None:

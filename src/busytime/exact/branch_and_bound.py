@@ -40,7 +40,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core.bounds import combined_bound
 from ..core.events import SweepProfile
-from ..core.profile_index import make_profile
 from ..core.instance import Instance, connected_components
 from ..core.intervals import Job, span
 from ..core.schedule import Machine, Schedule
@@ -82,12 +81,6 @@ class _Searcher:
         # most g * span demand-weighted length, which is what the
         # free-capacity bound charges against.
         self.profiles: List[SweepProfile] = []
-        # Every endpoint the search will ever push is an instance endpoint,
-        # so the indexed backend (when the flag selects it) can size its
-        # tree once up front and every push/pop stays O(log n).
-        self._universe = sorted(
-            {c for j in self.jobs for c in (j.start, j.end)}
-        )
         self.machine_len: List[float] = []
         self.assignment: List[int] = [-1] * self.n
         # suffix_len[i] = demand-weighted length of jobs[i:], for bounding
@@ -176,7 +169,7 @@ class _Searcher:
                 self.assignment[index] = -1
 
         # Try a fresh machine (single representative of all unopened machines).
-        self.profiles.append(make_profile(universe=self._universe))
+        self.profiles.append(SweepProfile())
         self.machine_len.append(0.0)
         self._push(len(self.profiles) - 1, job)
         self.assignment[index] = len(self.profiles) - 1

@@ -50,7 +50,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..core.events import SweepProfile
 from ..core.instance import Instance
 from ..core.intervals import Interval, Job, span, union_intervals
-from ..core.profile_index import make_profile
 
 __all__ = [
     "FlexibleJob",
@@ -363,10 +362,6 @@ def flexible_first_fit(
     machines: List[List[FlexibleJob]] = []
     profiles: List[SweepProfile] = []
     machine_of: Dict[int, int] = {}
-    # Anchored endpoints are fixed before packing starts, so the whole
-    # breakpoint universe is known here — the indexed backend (when the
-    # flag selects it) never needs a mid-run rebuild.
-    universe = sorted({c for iv in placed.values() for c in (iv.start, iv.end)})
     for job in order:
         window = placed[job.id]
         target = None
@@ -382,7 +377,7 @@ def flexible_first_fit(
                 break
         if target is None:
             machines.append([])
-            profiles.append(make_profile(universe=universe))
+            profiles.append(SweepProfile())
             target = len(machines) - 1
         machines[target].append(job)
         profiles[target].add(window.start, window.end, demand=job.demand)

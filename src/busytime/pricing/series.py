@@ -135,8 +135,8 @@ class TariffSeries:
         """Price a profile's covered (busy) measure band by band.
 
         ``profile`` is any machine profile exposing ``covered_measure_in``
-        and ``measure`` (both :class:`~busytime.core.events.SweepProfile`
-        and the indexed tree do).  ``[lo, hi]`` must enclose the
+        and ``measure`` (:class:`~busytime.core.events.SweepProfile`
+        does).  ``[lo, hi]`` must enclose the
         profile's busy span.  The constant fast path multiplies the
         maintained total measure — for a unit tariff that is exactly the
         flat busy-time value, bit for bit.

@@ -84,7 +84,8 @@ CANONICAL_VERSION = 4
 #: Instance sizes from which :func:`canonicalize` sorts with ``np.lexsort``
 #: over column arrays instead of python tuple sorting.  Same keys, same
 #: ties, same floats — only the sort machinery changes, so fingerprints are
-#: identical on both paths (pinned by the service tests).
+#: identical on both paths (pinned by
+#: ``tests/test_service.py::test_canonical_lexsort_path_matches_tuple_sort``).
 CANONICAL_LEXSORT_MIN = 4096
 
 
@@ -225,40 +226,37 @@ def canonicalize(instance: Instance) -> CanonicalForm:
         )
     n = len(jobs)
     if n >= CANONICAL_LEXSORT_MIN:
-        from ..core.events import _bulk_enabled
+        import numpy as np
 
-        if _bulk_enabled():
-            import numpy as np
-
-            starts = np.fromiter((j.start for j in jobs), np.float64, count=n)
-            ends = np.fromiter((j.end for j in jobs), np.float64, count=n)
-            starts -= offset
-            ends -= offset
-            weights = np.fromiter((j.weight for j in jobs), np.float64, count=n)
-            demands = np.fromiter((j.demand for j in jobs), np.float64, count=n)
-            ids = np.fromiter((j.id for j in jobs), np.int64, count=n)
-            tags = np.array([j.tag for j in jobs])
-            # Least-significant key first; the trailing id key makes the
-            # order (and hence id_map) total and deterministic, exactly like
-            # the tuple sort below.
-            order = np.lexsort((ids, demands, tags, weights, ends, starts))
-            s_list = starts.tolist()
-            e_list = ends.tolist()
-            rows = []
-            id_map = []
-            for k in order.tolist():
-                j = jobs[k]
-                rows.append((s_list[k], e_list[k], j.weight, j.tag, j.demand))
-                id_map.append(j.id)
-            return CanonicalForm(
-                g=instance.g,
-                rows=tuple(rows),
-                id_map=tuple(id_map),
-                offset=offset,
-                name=instance.name,
-                site_capacity=site_capacity,
-                background=background,
-            )
+        starts = np.fromiter((j.start for j in jobs), np.float64, count=n)
+        ends = np.fromiter((j.end for j in jobs), np.float64, count=n)
+        starts -= offset
+        ends -= offset
+        weights = np.fromiter((j.weight for j in jobs), np.float64, count=n)
+        demands = np.fromiter((j.demand for j in jobs), np.float64, count=n)
+        ids = np.fromiter((j.id for j in jobs), np.int64, count=n)
+        tags = np.array([j.tag for j in jobs])
+        # Least-significant key first; the trailing id key makes the
+        # order (and hence id_map) total and deterministic, exactly like
+        # the tuple sort below.
+        order = np.lexsort((ids, demands, tags, weights, ends, starts))
+        s_list = starts.tolist()
+        e_list = ends.tolist()
+        rows = []
+        id_map = []
+        for k in order.tolist():
+            j = jobs[k]
+            rows.append((s_list[k], e_list[k], j.weight, j.tag, j.demand))
+            id_map.append(j.id)
+        return CanonicalForm(
+            g=instance.g,
+            rows=tuple(rows),
+            id_map=tuple(id_map),
+            offset=offset,
+            name=instance.name,
+            site_capacity=site_capacity,
+            background=background,
+        )
     # Sort by the canonical coordinates; ties (identical jobs up to id) break
     # by original id so the id_map is deterministic.  Identical jobs are
     # interchangeable in any schedule, so which one lands where is immaterial.

@@ -24,8 +24,11 @@ Algorithms are only run on instances their declared capabilities cover
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+import busytime.core.events as events_module
 from busytime.algorithms import get_scheduler
 from busytime.algorithms.base import available_schedulers
 from busytime.core.bounds import best_lower_bound
@@ -45,6 +48,10 @@ from busytime.generators import (
     uniform_traffic,
 )
 from busytime.optical import traffic_to_instance
+
+# ``busytime.algorithms`` re-exports the ``first_fit`` *function* under the
+# submodule's name, so go through importlib for the module object.
+_ff_module = importlib.import_module("busytime.algorithms.first_fit")
 
 
 def _optical_instance(seed: int) -> Instance:
@@ -100,34 +107,43 @@ def test_firstfit_within_factor_g_of_lower_bound(label, instance):
     )
 
 
+def _run_with_size_thresholds(monkeypatch, scheduler, instance, threshold):
+    """Run ``scheduler`` with both scheduling array paths gated at
+    ``threshold`` items, and read off everything the differential compares
+    before the gates move again (machine profiles are built lazily)."""
+    monkeypatch.setattr(events_module, "BULK_FROM_INTERVALS_MIN", threshold)
+    monkeypatch.setattr(_ff_module, "BULK_FIRST_FIT_MIN", threshold)
+    schedule = scheduler(instance)
+    verify_schedule(schedule)
+    verify_schedule(schedule, mode="batch")
+    return (
+        schedule.assignment(),
+        [tuple(j.id for j in m.jobs) for m in schedule.machines],
+        schedule.total_busy_time,
+    )
+
+
 @pytest.mark.parametrize("name", ALGORITHMS)
 @pytest.mark.parametrize("label,instance", CORPUS, ids=[c[0] for c in CORPUS])
-def test_profile_index_flag_is_bit_for_bit(name, label, instance):
-    """The indexed backend must change nothing: every registry algorithm on
-    every corpus family produces the identical machine partition with the
-    flag forced on vs forced off, and identical costs up to accumulation-
-    order ulps (the covered-length sums are ordered differently by the two
-    backends; the partitions are compared exactly)."""
-    from busytime.core.profile_index import profile_index
-
+def test_array_paths_are_bit_for_bit(name, label, instance, monkeypatch):
+    """Input size alone picks the numpy paths (``SweepProfile.from_intervals``
+    from ``BULK_FROM_INTERVALS_MIN`` intervals, the FirstFit bitmask kernel
+    from ``BULK_FIRST_FIT_MIN`` jobs), so they must change nothing: every
+    registry algorithm on every corpus family produces the identical
+    machine partition and per-machine job order with both gates forced
+    down to one item as with both forced out of reach, and identical costs
+    up to accumulation-order ulps (a kernel machine's covered length is
+    summed by ``from_intervals``, a builder machine's insertion by
+    insertion)."""
     scheduler = get_scheduler(name)
     if not scheduler.handles(instance):
         pytest.skip(f"{name} does not declare {label}'s instance class")
-    with profile_index("off"):
-        legacy = scheduler(instance)
-    with profile_index("force"):
-        indexed = scheduler(instance)
-    assert legacy.assignment() == indexed.assignment(), (
-        f"{name} on {label}: flag on/off changed the schedule"
+    arrays = _run_with_size_thresholds(monkeypatch, scheduler, instance, 1)
+    builder = _run_with_size_thresholds(monkeypatch, scheduler, instance, 10**9)
+    assert arrays[:2] == builder[:2], (
+        f"{name} on {label}: array paths changed the schedule"
     )
-    assert [tuple(j.id for j in m.jobs) for m in legacy.machines] == [
-        tuple(j.id for j in m.jobs) for m in indexed.machines
-    ]
-    assert abs(legacy.total_busy_time - indexed.total_busy_time) <= 1e-9 * max(
-        1.0, legacy.total_busy_time
-    )
-    verify_schedule(indexed)
-    verify_schedule(indexed, mode="batch")
+    assert abs(arrays[2] - builder[2]) <= 1e-9 * max(1.0, builder[2])
 
 
 def test_corpus_spans_all_structural_classes():

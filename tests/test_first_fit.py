@@ -1,21 +1,43 @@
 """Tests for the Section 2 FirstFit algorithm (Theorems 2.1, 2.4, 2.5)."""
 
+import importlib
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from busytime.algorithms import first_fit, first_fit_order
 from busytime.algorithms.base import get_scheduler
+from busytime.algorithms.first_fit import _builder_first_fit, _bulk_first_fit
 from busytime.core.bounds import best_lower_bound
+from busytime.core.bulk import MAX_BITMASK_MACHINES
 from busytime.core.instance import Instance
+from busytime.core.intervals import Interval, Job
+from busytime.core.schedule import verify_schedule
 from busytime.exact import exact_optimal_cost
 from busytime.generators import (
+    bounded_length_instance,
     bursty_instance,
+    clique_instance,
     fig4_reference_schedule,
     firstfit_lower_bound_instance,
     firstfit_lower_bound_opt_cost,
+    laminar_instance,
     poisson_arrivals_instance,
+    proper_instance,
+    ranked_shift_proper_instance,
+    stairs_instance,
     theorem24_parameters,
     uniform_random_instance,
 )
+
+# ``busytime.algorithms`` re-exports the ``first_fit`` *function* under the
+# submodule's name, so go through importlib for the module object.
+_ff_module = importlib.import_module("busytime.algorithms.first_fit")
 
 
 class TestMechanics:
@@ -150,3 +172,111 @@ class TestTheorem24LowerBound:
         eps_prime, g = theorem24_parameters(0.5)
         assert eps_prime == pytest.approx(0.125)
         assert g >= 11
+
+
+def _grid_ties_instance(n: int, g: int, seed: int) -> Instance:
+    """Integer-grid jobs, zero lengths included: many shared endpoints."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        start = rng.randrange(60)
+        pairs.append((start, start + rng.randrange(6)))
+    return Instance.from_intervals(pairs, g=g)
+
+
+def _machine_orders(schedule):
+    return [tuple(j.id for j in m.jobs) for m in schedule.machines]
+
+
+class TestBulkKernel:
+    """The saturation-bitmask kernel ``first_fit`` switches to from
+    ``BULK_FIRST_FIT_MIN`` unit-demand jobs, against the builder loop."""
+
+    @pytest.mark.parametrize(
+        "label,instance",
+        [
+            ("uniform-g2", uniform_random_instance(400, 2, seed=11)),
+            ("uniform-g7", uniform_random_instance(600, 7, seed=12)),
+            ("poisson", poisson_arrivals_instance(400, 3, seed=13)),
+            ("bursty", bursty_instance(400, 4, seed=14)),
+            ("proper", proper_instance(300, 3, seed=15)),
+            ("clique", clique_instance(120, 5, seed=16)),
+            ("bounded", bounded_length_instance(300, 3, d=3.0, seed=17)),
+            ("laminar", laminar_instance(200, 3, seed=18)),
+            ("stairs", stairs_instance(120, 4)),
+            ("fig4", firstfit_lower_bound_instance(6)),
+            ("ranked-shift", ranked_shift_proper_instance(6)),
+            ("grid-ties", _grid_ties_instance(500, 4, seed=19)),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_kernel_matches_builder(self, label, instance):
+        builder = _builder_first_fit(instance)
+        kernel = _bulk_first_fit(instance)
+        assert kernel is not None, f"{label}: kernel fell back"
+        assert kernel.meta["kernel"] == "bulk"
+        assert kernel.meta["processing_order"] == builder.meta["processing_order"]
+        assert _machine_orders(kernel) == _machine_orders(builder)
+        verify_schedule(kernel, mode="batch")
+
+    @pytest.mark.parametrize(
+        "n,g,demand,kernel",
+        [
+            (19, 3, 1, False),  # one job short of the gate: builder
+            (20, 3, 1, True),  # at the gate: kernel
+            (20, 3, 2, False),  # demands: builder whatever the size
+            (MAX_BITMASK_MACHINES + 1, 1, 1, False),  # too many machines
+        ],
+        ids=["below-gate", "at-gate", "demands", "bitmask-overflow"],
+    )
+    def test_input_size_picks_the_path(self, monkeypatch, n, g, demand, kernel):
+        monkeypatch.setattr(_ff_module, "BULK_FIRST_FIT_MIN", 20)
+        # All jobs share [0, 1] except the last, so with g = 1 every job
+        # needs its own machine and the bitmask runs out of bits.
+        jobs = [Job(id=i, interval=Interval(0.0, 1.0)) for i in range(n - 1)]
+        jobs.append(Job(id=n - 1, interval=Interval(0.5, 2.0), demand=demand))
+        instance = Instance(jobs=jobs, g=g)
+        schedule = first_fit(instance)
+        assert (schedule.meta.get("kernel") == "bulk") is kernel
+        assert _machine_orders(schedule) == _machine_orders(
+            _builder_first_fit(instance)
+        )
+        verify_schedule(schedule)
+
+
+# Demand FirstFit at E21's density (horizon = n / 20): ~50 machines over
+# 240k breakpoints.  Each machine profile must stay proportional to its own
+# jobs; a per-machine structure sized by the whole instance's breakpoints
+# exhausts the address-space cap long before the schedule is built.
+_MEMORY_CAP_SCRIPT = textwrap.dedent(
+    """
+    import resource
+
+    cap = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    from busytime.algorithms import first_fit
+    from busytime.core.schedule import verify_schedule
+    from busytime.generators import demand_loaded_instance
+
+    inst = demand_loaded_instance(
+        120_000, 10, horizon=6000.0, max_demand=3, seed=7
+    )
+    verify_schedule(first_fit(inst), mode="batch")
+    """
+)
+
+
+@pytest.mark.slow
+def test_demand_first_fit_120k_fits_in_one_gib():
+    pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MEMORY_CAP_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

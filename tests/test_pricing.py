@@ -24,7 +24,6 @@ from busytime.algorithms import (
 from busytime.core.instance import Instance, connected_components
 from busytime.core.intervals import Interval, Job
 from busytime.core.objectives import CostModel, get_cost_model
-from busytime.core.profile_index import profile_index
 from busytime.core.schedule import (
     InfeasibleScheduleError,
     Machine,
@@ -549,11 +548,9 @@ class TestPricingFuzz:
     def test_integrated_cost_matches_brute_force(self, jobs, tariff):
         instance = Instance(jobs=jobs, g=4)
         model = CostModel(objective="tariff_busy_time", tariff=tariff)
-        for mode in ("off", "force"):
-            with profile_index(mode):
-                sched = first_fit(instance)
-                cost = model.schedule_cost(sched)
-            assert cost == pytest.approx(brute_force_cost(sched, tariff), abs=1e-6)
+        sched = first_fit(instance)
+        cost = model.schedule_cost(sched)
+        assert cost == pytest.approx(brute_force_cost(sched, tariff), abs=1e-6)
 
     @given(jobs=dyadic_jobs(max_jobs=8), tariff=dyadic_tariffs())
     @settings(

@@ -2,15 +2,19 @@
 
 import pytest
 
+from busytime.algorithms import first_fit
 from busytime.core.instance import Instance
 from busytime.core.intervals import Interval, Job
+from busytime.core.events import SweepProfile
 from busytime.core.schedule import (
     InfeasibleScheduleError,
     Machine,
+    ProfileOracleMismatchError,
     Schedule,
     ScheduleBuilder,
     verify_schedule,
 )
+from busytime.generators import demand_loaded_instance
 
 
 def _jobs(*pairs):
@@ -198,3 +202,81 @@ class TestScheduleBuilder:
         b = ScheduleBuilder(instance)
         m = b.assign_new_machine(instance.jobs)
         assert list(b.jobs_on(m)) == list(instance.jobs)
+
+
+def _one_machine(instance, jobs=None):
+    jobs = instance.jobs if jobs is None else tuple(jobs)
+    return Schedule(instance=instance, machines=(Machine(index=0, jobs=jobs),))
+
+
+def _overload():
+    return _one_machine(Instance.from_intervals([(0, 3), (1, 4)], g=1))
+
+
+def _demand_overload():
+    jobs = [Job(id=i, interval=Interval(0, 2), demand=2) for i in range(2)]
+    return _one_machine(Instance(jobs=jobs, g=3))
+
+
+def _missing():
+    instance = Instance.from_intervals([(0, 3), (5, 6)], g=1)
+    return _one_machine(instance, instance.jobs[:1])
+
+
+def _duplicate():
+    instance = Instance.from_intervals([(0, 3)], g=1)
+    machines = tuple(Machine(index=i, jobs=instance.jobs) for i in range(2))
+    return Schedule(instance=instance, machines=machines)
+
+
+def _foreign():
+    instance = Instance.from_intervals([(0, 3)], g=1)
+    foreign = Job(id=42, interval=Interval(0, 1))
+    return _one_machine(instance, instance.jobs + (foreign,))
+
+
+def _moved_fixed_job():
+    instance = Instance.from_intervals([(0, 3)], g=1)
+    return _one_machine(instance, [Job(id=0, interval=Interval(1, 4))])
+
+
+def _stale_profile():
+    schedule = _one_machine(Instance.from_intervals([(0, 3)], g=1))
+    wrong = SweepProfile.from_intervals([Interval(0, 10)])
+    object.__setattr__(schedule.machines[0], "_profile", wrong)
+    return schedule
+
+
+#: label -> (schedule factory, error class, message pattern).
+_DEFECTS = {
+    "overload": (_overload, InfeasibleScheduleError, "runs 2 jobs"),
+    "demand-overload": (
+        _demand_overload, InfeasibleScheduleError, "reaches total demand 4"
+    ),
+    "missing": (_missing, InfeasibleScheduleError, "never scheduled"),
+    "duplicate": (_duplicate, InfeasibleScheduleError, "on machines 0 and 1"),
+    "foreign": (_foreign, InfeasibleScheduleError, "unknown job id 42"),
+    "moved-fixed-job": (_moved_fixed_job, InfeasibleScheduleError, "is fixed at"),
+    "stale-profile": (_stale_profile, ProfileOracleMismatchError, "busy time"),
+}
+
+
+class TestBatchOracle:
+    """``verify_schedule(mode="batch")`` keeps the full oracle's checks."""
+
+    @pytest.mark.parametrize("label", list(_DEFECTS))
+    def test_both_modes_reject(self, label):
+        build, error, pattern = _DEFECTS[label]
+        for mode in ("full", "batch"):
+            with pytest.raises(error, match=pattern):
+                verify_schedule(build(), mode=mode)
+
+    def test_both_modes_accept_a_demand_schedule(self):
+        schedule = first_fit(demand_loaded_instance(200, 4, max_demand=3, seed=3))
+        assert schedule.instance.has_demands
+        verify_schedule(schedule)
+        verify_schedule(schedule, mode="batch")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="'full' or 'batch'"):
+            verify_schedule(_overload(), mode="fast")

@@ -112,6 +112,37 @@ class TestCanonicalization:
             assert original.start - form.offset == canonical_job.start
             assert original.end - form.offset == canonical_job.end
 
+    def test_canonical_lexsort_path_matches_tuple_sort(self, monkeypatch):
+        """Large instances sort with ``np.lexsort``; the python tuple sort must
+        give the same rows, id map and fingerprint, ties and all."""
+        import busytime.service.canonical as canonical_module
+
+        n = canonical_module.CANONICAL_LEXSORT_MIN + 100
+        rng = random.Random(3)
+        ids = rng.sample(range(10 * n), n)
+        jobs = []
+        for k in range(n):
+            # Coarse grid: many starts/ends coincide, and with only a few
+            # weights, tags and demands some jobs differ in their id alone.
+            start = rng.randrange(0, 64) / 4.0
+            jobs.append(
+                Job(
+                    id=ids[k],
+                    interval=Interval(start, start + rng.randrange(0, 8) / 4.0),
+                    weight=rng.choice([0.5, 1.0, 2.5]),
+                    tag=rng.choice(["", "a", "b", "ab"]),
+                    demand=rng.choice([1, 2, 3]),
+                )
+            )
+        inst = Instance(jobs=tuple(jobs), g=4, name="ties")
+        lexsorted = canonicalize(inst)
+        lexsorted_fp = request_fingerprint(SolveRequest(instance=inst))
+        monkeypatch.setattr(canonical_module, "CANONICAL_LEXSORT_MIN", 10**9)
+        tuple_sorted = canonicalize(inst)
+        assert lexsorted.rows == tuple_sorted.rows
+        assert lexsorted.id_map == tuple_sorted.id_map
+        assert lexsorted_fp == request_fingerprint(SolveRequest(instance=inst))
+
     def test_empty_instance_canonicalizes(self):
         a = Instance(jobs=(), g=2, name="empty-a")
         b = Instance(jobs=(), g=2, name="empty-b")

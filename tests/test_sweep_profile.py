@@ -7,7 +7,8 @@ maintained state.  Every answer has a brute-force counterpart in
 :mod:`busytime.core.intervals` (``max_point_load``, ``span``,
 ``point_load``); these tests assert the two always agree, on adversarially
 shaped hypothesis inputs and on the randomized instance families of
-:mod:`busytime.generators.random_instances`.
+:mod:`busytime.generators.random_instances`.  The numpy path of
+:meth:`SweepProfile.from_intervals` is pinned against the python one.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 from typing import List, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from busytime.core.events import SweepProfile
+import busytime.core.events as events_module
+from busytime.core.events import BULK_FROM_INTERVALS_MIN, SweepProfile
 from busytime.core.intervals import (
     Interval,
     Job,
@@ -126,6 +128,21 @@ def test_remove_unknown_interval_raises():
     prof.add(0.0, 2.0)
     with pytest.raises(KeyError):
         prof.remove(0.5, 1.5)
+
+
+def test_reversed_interval_rejected():
+    prof = SweepProfile()
+    with pytest.raises(ValueError, match="precedes"):
+        prof.add(5.0, 3.0)
+
+
+def test_remove_never_added_raises():
+    prof = SweepProfile()
+    prof.add(0.0, 4.0)
+    with pytest.raises(KeyError, match="never added"):
+        prof.remove(1.0, 3.0)
+    with pytest.raises(KeyError, match="unit demands"):
+        prof.remove(0.0, 4.0, demand=2)
 
 
 # -- demand-weighted profile ([15] capacity model) ----------------------------
@@ -434,3 +451,183 @@ def test_machine_profile_queries_match_schedule_oracle():
     assert schedule.peak_parallelism == max(
         max_point_load(m.jobs) for m in schedule.machines
     )
+
+
+# -- brute-force differential over an integer grid ----------------------------
+#
+# Random add/remove/query interleavings are driven simultaneously through the
+# profile and a literal list of live intervals, asserting exact equality at
+# every step for the cardinality queries and their demand-weighted twins.
+# Integer coordinates keep covered measures exact.
+
+COORD_MAX = 40
+
+
+class BruteProfile:
+    """The definition, executed literally: a list of live intervals."""
+
+    def __init__(self):
+        self.live = []
+
+    def add(self, start, end, demand=1):
+        self.live.append((start, end, demand))
+
+    def remove(self, start, end, demand=1):
+        self.live.remove((start, end, demand))
+
+    @property
+    def count(self):
+        return len(self.live)
+
+    def load_at(self, t):
+        return sum(1 for s, e, _ in self.live if s <= t <= e)
+
+    def demand_at(self, t):
+        return sum(d for s, e, d in self.live if s <= t <= e)
+
+    def _candidates(self, a, b):
+        pts = {a, b}
+        for s, e, _ in self.live:
+            if a <= s <= b:
+                pts.add(s)
+            if a <= e <= b:
+                pts.add(e)
+        return sorted(pts)
+
+    def max_load_in(self, a, b):
+        return max((self.load_at(t) for t in self._candidates(a, b)), default=0)
+
+    def max_demand_in(self, a, b):
+        return max((self.demand_at(t) for t in self._candidates(a, b)), default=0)
+
+    def max_load(self):
+        return self.max_load_in(-1, COORD_MAX + 2)
+
+    def max_demand(self):
+        return self.max_demand_in(-1, COORD_MAX + 2)
+
+    @property
+    def measure(self):
+        return self.covered_measure_in(-1, COORD_MAX + 2)
+
+    def covered_measure_in(self, a, b):
+        if b <= a:
+            return 0.0
+        pts = self._candidates(a, b)
+        total = 0.0
+        for lo, hi in zip(pts, pts[1:]):
+            mid = (lo + hi) / 2.0
+            if any(s <= mid <= e for s, e, _ in self.live):
+                total += hi - lo
+        return total
+
+    def fits(self, a, b, g, demand=1):
+        return self.max_demand_in(a, b) + demand <= g
+
+
+grid_starts = st.integers(min_value=0, max_value=COORD_MAX - 10)
+grid_lengths = st.integers(min_value=0, max_value=10)
+mixed_demands = st.sampled_from([1, 1, 1, 2, 4])
+
+
+def grid_op_sequences(demand_strategy):
+    # Each entry: (kind, start, length, demand).  kind 1 = remove (targets
+    # the i-th oldest live interval, modulo the live count), else add.
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),
+            grid_starts,
+            grid_lengths,
+            demand_strategy,
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+def run_differential(ops):
+    prof = SweepProfile()
+    brute = BruteProfile()
+    for kind, start, length, demand in ops:
+        if kind == 1 and brute.live:
+            s, e, d = brute.live[start % len(brute.live)]
+            prof.remove(s, e, demand=d)
+            brute.remove(s, e, demand=d)
+        else:
+            s, e = float(start), float(start + length)
+            prof.add(s, e, demand=demand)
+            brute.add(s, e, demand=demand)
+        assert prof.count == brute.count
+        assert prof.max_load() == brute.max_load()
+        assert prof.max_demand() == brute.max_demand()
+        assert prof.measure == brute.measure
+        for t in (start - 1, start, start + 0.5, start + length, COORD_MAX):
+            assert prof.load_at(t) == brute.load_at(t)
+            assert prof.demand_at(t) == brute.demand_at(t)
+        windows = (
+            (start, start + length),
+            (start - 2, start + length + 2),
+            (0, COORD_MAX),
+            (start + 0.5, start + length + 0.5),
+        )
+        for a, b in windows:
+            assert prof.max_load_in(a, b) == brute.max_load_in(a, b)
+            assert prof.max_demand_in(a, b) == brute.max_demand_in(a, b)
+            assert prof.covered_measure_in(a, b) == brute.covered_measure_in(a, b)
+            for g in (1, 3, 8):
+                for d in (1, 2):
+                    assert prof.fits(a, b, g, demand=d) == brute.fits(
+                        a, b, g, demand=d
+                    )
+
+
+FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@FUZZ
+@given(ops=grid_op_sequences(st.just(1)))
+def test_differential_unit_demand(ops):
+    run_differential(ops)
+
+
+@FUZZ
+@given(ops=grid_op_sequences(mixed_demands))
+def test_differential_weighted_demand(ops):
+    run_differential(ops)
+
+
+grid_jobs = st.lists(
+    st.tuples(grid_starts, grid_lengths, mixed_demands), min_size=0, max_size=30
+).map(
+    lambda triples: [
+        Job(id=i, interval=Interval(float(s), float(s + l)), demand=d)
+        for i, (s, l, d) in enumerate(triples)
+    ]
+)
+
+
+@FUZZ
+@given(jobs=grid_jobs)
+def test_from_intervals_and_copy_parity(jobs):
+    # Force the numpy fast path regardless of batch size, then disable it.
+    try:
+        events_module.BULK_FROM_INTERVALS_MIN = 1
+        fast = SweepProfile.from_intervals(jobs)
+        events_module.BULK_FROM_INTERVALS_MIN = 10**9
+        slow = SweepProfile.from_intervals(jobs)
+    finally:
+        events_module.BULK_FROM_INTERVALS_MIN = BULK_FROM_INTERVALS_MIN
+    snapshot = fast.copy()
+    assert fast.breakpoints == slow.breakpoints
+    assert fast.count == slow.count == snapshot.count
+    assert fast.measure == slow.measure
+    for t in range(-1, COORD_MAX + 2):
+        assert fast.load_at(t) == slow.load_at(t) == snapshot.load_at(t)
+        assert fast.demand_at(t) == slow.demand_at(t)
+    # Mutating the copy leaves the original untouched.
+    snapshot.add(0.0, 5.0)
+    assert snapshot.load_at(1.0) == fast.load_at(1.0) + 1
