@@ -1,33 +1,29 @@
-"""E19 — demand-aware FirstFit vs the flexible lower bound ([15]-style corpus).
+"""E19 — demand-aware FirstFit vs the demand-weighted lower bound ([15]-style corpus).
 
 The follow-up model of Khandekar–Schieber–Shachnai–Tamir [15] gives every
 job a capacity demand ``s_j``; a machine may host any job set whose total
-demand at each instant is at most ``g``.  PR 5 made that model a first-class
-axis of the core: ``Job.demand``, the demand-weighted ``SweepProfile``
+demand at each instant is at most ``g``.  The core carries that model
+first-class: ``Job.demand``, the demand-weighted ``SweepProfile``
 counters and the demand-aware ``fits`` check the greedy family runs on.
 
-This module regenerates the cross-model comparison:
+This module regenerates the comparison:
 
 * demand-aware FirstFit on a rigid [15]-style corpus
   (:func:`busytime.generators.demand_loaded_instance`) produces feasible
   schedules (validated by the demand-aware ``verify_schedule`` oracle)
   whose cost respects the demand-weighted Observation 1.1 bound
-  ``max(span(J), sum len_j s_j / g)``;
-* the same bound computed through :mod:`busytime.extensions.flexible`'s
-  :func:`flexible_lower_bound` on the rigid embedding agrees exactly —
-  the extension and the core now share one demand model;
+  ``combined_bound = max(span(J), sum len_j s_j / g)``;
+* on these rigid instances ``best_lower_bound`` (which may refine the
+  combined bound per component or on cliques) equals it exactly;
 * the observed cost stays within the trivial ``len(J) <= g * LB`` net, the
   same last-resort inequality the rigid differential corpus pins.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from busytime.algorithms.first_fit import first_fit
-from busytime.core.bounds import best_lower_bound
+from busytime.core.bounds import best_lower_bound, combined_bound
 from busytime.core.schedule import verify_schedule
-from busytime.extensions.flexible import FlexibleInstance, FlexibleJob, flexible_lower_bound
 from busytime.generators import demand_loaded_instance
 
 CORPUS = [
@@ -37,25 +33,7 @@ CORPUS = [
 ]
 
 
-def _flexible_embedding(instance) -> FlexibleInstance:
-    """The rigid instance as a (slack-free) flexible instance with demands."""
-    return FlexibleInstance(
-        jobs=tuple(
-            FlexibleJob(
-                id=j.id,
-                release=j.start,
-                due=j.end,
-                processing=j.length,
-                demand=float(j.demand),
-            )
-            for j in instance.jobs
-        ),
-        g=float(instance.g),
-        name=instance.name,
-    )
-
-
-def test_demand_firstfit_vs_flexible_lower_bound(benchmark, attach_rows):
+def test_demand_firstfit_vs_combined_bound(benchmark, attach_rows):
     rows = []
     for params in CORPUS:
         inst = demand_loaded_instance(**params)
@@ -63,9 +41,7 @@ def test_demand_firstfit_vs_flexible_lower_bound(benchmark, attach_rows):
         schedule = first_fit(inst)
         verify_schedule(schedule)  # demand-aware slow-path oracle
         lb = best_lower_bound(inst)
-        flexible_lb = flexible_lower_bound(_flexible_embedding(inst))
-        # Core and extension price the same demand model: the bounds agree.
-        assert lb == pytest.approx(flexible_lb)
+        assert lb == combined_bound(inst)
         assert schedule.total_busy_time >= lb - 1e-9
         # Last-resort net: cost <= len(J) <= sum len_j s_j = g * (len_s/g).
         assert schedule.total_busy_time <= inst.g * lb + 1e-9

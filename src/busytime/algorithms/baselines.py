@@ -59,20 +59,8 @@ def best_fit(instance: Instance) -> Schedule:
     builder = ScheduleBuilder(instance, algorithm="best_fit")
     order = sorted(instance.jobs, key=lambda j: (-j.length, j.start, j.id))
     for job in order:
-        best_idx: Optional[int] = None
-        best_increase = float("inf")
-        for idx in range(builder.num_machines):
-            if not builder.fits(idx, job):
-                continue
-            increase = builder.marginal_busy_increase(idx, job)
-            if increase < best_increase:
-                best_increase = increase
-                best_idx = idx
-        if best_idx is None or best_increase >= job.length:
-            # Opening a new machine costs exactly len(job); prefer it when no
-            # existing machine absorbs the job more cheaply.
-            best_idx = builder.open_machine()
-        builder.assign(best_idx, job)
+        idx = builder.best_fitting_machine(job)
+        builder.assign(builder.open_machine() if idx is None else idx, job)
     return builder.freeze()
 
 

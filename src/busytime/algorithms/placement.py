@@ -27,14 +27,25 @@ Both receive the request's resolved cost model through
 travels on the model, not the instance — and neither claims a proven
 ratio: the fixed-interval guarantees do not transfer to an optimum that
 may slide jobs (see ``AlgorithmInfo.window_aware``).
+
+``anchor_first_fit``
+    the fix-then-pack structure of the follow-up work [15]
+    (Khandekar–Schieber–Shachnai–Tamir), which proves a 5-approximation
+    by fixing start times first and then running FirstFit.  Phase 1,
+    :func:`anchor_starts`, fixes each start to least grow the union of
+    the jobs fixed so far; phase 2 is the paper's longest-first FirstFit
+    over the placed jobs.  The fixing rule differs from [15]'s, so no
+    ratio is claimed; on a fixed-job instance it is
+    :func:`~busytime.algorithms.first_fit.first_fit`.  Unlike the two
+    above it is not registered, so it joins no portfolio.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.instance import Instance
-from ..core.intervals import Interval, Job, max_point_demand, union_intervals
+from ..core.intervals import Interval, Job, max_point_demand, span, union_intervals
 from ..core.objectives import CostModel
 from ..core.schedule import InfeasibleScheduleError, Schedule, ScheduleBuilder
 from ..pricing.series import TariffSeries
@@ -44,6 +55,8 @@ from .first_fit import first_fit_order
 __all__ = [
     "candidate_starts",
     "place_first_fit",
+    "anchor_starts",
+    "anchor_first_fit",
     "tariff_local_search",
     "PlacementFirstFitScheduler",
     "TariffLocalSearchScheduler",
@@ -56,6 +69,10 @@ IMPROVEMENT_EPS = 1e-9
 
 #: Default bound on full improvement rounds of the local search.
 MAX_ROUNDS = 6
+
+#: :func:`anchor_starts` tries the window edges plus ``ANCHOR_RESOLUTION - 1``
+#: evenly spaced starts between them.
+ANCHOR_RESOLUTION = 8
 
 
 def _tariff_of(model: Optional[CostModel]) -> Optional[TariffSeries]:
@@ -162,6 +179,65 @@ def place_first_fit(
                 f"cap {instance.site_capacity}"
             )
     builder.meta["processing_order"] = [j.id for j in order]
+    return builder.freeze()
+
+
+# ---------------------------------------------------------------------------
+# Fix-then-pack ([15])
+# ---------------------------------------------------------------------------
+
+
+def anchor_starts(instance: Instance) -> Dict[int, float]:
+    """Phase 1 of fix-then-pack: a start inside its window for every job.
+
+    Jobs are anchored in non-increasing order of ``length * demand`` (big
+    rocks first; ties by release, then id).  Each takes the candidate
+    start that least grows the union of the jobs anchored so far, the
+    earliest candidate on ties.  Candidates are the window edges, the
+    evenly spaced starts of :data:`ANCHOR_RESOLUTION`, and the starts that
+    align either end of the job with either end of a union segment.  A
+    fixed job keeps its interval.
+    """
+    starts: Dict[int, float] = {}
+    anchored: List[Interval] = []
+    order = sorted(
+        instance.jobs, key=lambda j: (-(j.length * j.demand), j.window_release, j.id)
+    )
+    for job in order:
+        earliest = job.window_release
+        best_start = earliest
+        if job.has_window:
+            latest = job.window_deadline - job.length
+            candidates = {earliest, latest}
+            for k in range(1, ANCHOR_RESOLUTION):
+                candidates.add(earliest + (latest - earliest) * k / ANCHOR_RESOLUTION)
+            for seg in anchored:
+                for anchor in (
+                    seg.start,
+                    seg.end - job.length,
+                    seg.end,
+                    seg.start - job.length,
+                ):
+                    if earliest - 1e-12 <= anchor <= latest + 1e-12:
+                        candidates.add(min(max(anchor, earliest), latest))
+            best_growth = float("inf")
+            base = span(anchored)
+            for candidate in sorted(candidates):
+                growth = span(anchored + [job.placed_at(candidate).interval]) - base
+                if growth < best_growth - 1e-12:
+                    best_growth = growth
+                    best_start = candidate
+        starts[job.id] = best_start
+        anchored = union_intervals(anchored + [job.placed_at(best_start).interval])
+    return starts
+
+
+def anchor_first_fit(instance: Instance) -> Schedule:
+    """Fix-then-pack: :func:`anchor_starts`, then longest-first FirstFit."""
+    starts = anchor_starts(instance)
+    builder = ScheduleBuilder(instance, algorithm="anchor_first_fit")
+    for job in first_fit_order([j.placed_at(starts[j.id]) for j in instance.jobs]):
+        builder.assign_first_fit(job)
     return builder.freeze()
 
 

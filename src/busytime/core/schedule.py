@@ -556,6 +556,26 @@ class ScheduleBuilder:
                 return idx
         return None
 
+    def best_fitting_machine(self, job: Job) -> Optional[int]:
+        """The fitting machine whose busy time grows least, or None.
+
+        Ties go to the lowest index.  ``None`` — open a new machine — also
+        when no machine absorbs ``job`` for less than its length, which is
+        exactly what a fresh machine costs.
+        """
+        best_idx: Optional[int] = None
+        best_increase = float("inf")
+        for idx in range(len(self._machines)):
+            if not self.fits(idx, job):
+                continue
+            increase = self.marginal_busy_increase(idx, job)
+            if increase < best_increase:
+                best_increase = increase
+                best_idx = idx
+        if best_increase >= job.length:
+            return None
+        return best_idx
+
     # -- mutation --------------------------------------------------------------
 
     def open_machine(self) -> int:

@@ -1,61 +1,38 @@
 """Extensions beyond the paper's core results.
 
-Two directions the paper itself points at (Section 1.3) plus the online
-setting its applications imply:
-
-* :mod:`busytime.extensions.flexible` — jobs with release times, due dates,
-  processing times and capacity demands (the model of the cited follow-up
-  work [15]), solved by the two-phase anchor-then-pack heuristic.
-* :mod:`busytime.extensions.online` — arrival-order online schedulers and a
-  replay harness for measuring the price of irrevocable decisions.
 * :mod:`busytime.extensions.dynamic` — dynamic workloads with churn: job
   departures, rolling-horizon re-optimization through the solve engine and
-  migration-budget policies, replayed over arrive/depart event traces.
+  migration-budget policies, replayed over arrive/depart event traces; its
+  arrival-only special case gives the online schedulers
+  (:data:`ONLINE_ALGORITHMS`) that measure the price of irrevocable
+  decisions.
+* the flex model of the cited follow-up work [15] — release times,
+  deadlines and capacity demands — is part of the core
+  (:class:`busytime.core.intervals.Job`); its fix-then-pack heuristic is
+  :func:`busytime.algorithms.placement.anchor_first_fit`.
 * ring-topology grooming (the direction of [9]) lives with the rest of the
   optical application in :mod:`busytime.optical.ring`.
 """
 
-from .flexible import (
-    FlexibleInstance,
-    FlexibleJob,
-    FlexibleSchedule,
-    demand_profile_peak,
-    fix_start_times,
-    flexible_first_fit,
-    flexible_lower_bound,
-)
 from .dynamic import (
+    ONLINE_ALGORITHMS,
     MigrationBudget,
     NeverMigrate,
     RollingHorizon,
     SimulationPolicy,
     SimulationReport,
     Simulator,
-    simulate,
-    standard_policies,
-)
-from .online import (
-    ONLINE_ALGORITHMS,
-    OnlineResult,
     online_best_fit,
     online_first_fit,
     online_next_fit,
-    replay_online,
+    simulate,
+    standard_policies,
 )
 
 __all__ = [
-    "FlexibleJob",
-    "FlexibleInstance",
-    "FlexibleSchedule",
-    "fix_start_times",
-    "flexible_first_fit",
-    "flexible_lower_bound",
-    "demand_profile_peak",
-    "OnlineResult",
     "online_first_fit",
     "online_best_fit",
     "online_next_fit",
-    "replay_online",
     "ONLINE_ALGORITHMS",
     "SimulationPolicy",
     "NeverMigrate",

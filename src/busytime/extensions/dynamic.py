@@ -11,8 +11,7 @@ churn: jobs depart as well as arrive.  This module replays
 Three policy shapes are provided, spanning the online/offline spectrum:
 
 * :class:`NeverMigrate` — pure online: place each arrival once (arrival-order
-  FirstFit by default) and never revise, the model of
-  :mod:`busytime.extensions.online`;
+  FirstFit by default) and never revise;
 * :class:`RollingHorizon` — every ``period`` time units, re-solve the *live*
   job set through the existing :class:`~busytime.engine.Engine` and migrate
   to the proposed assignment (adopted only when it lowers the projected
@@ -33,6 +32,18 @@ freezes the live sub-schedule on a configurable cadence (and at every
 replan and at the end of the trace) and cross-checks every profile-backed
 answer, raising
 :class:`~busytime.core.schedule.ProfileOracleMismatchError` on drift.
+
+The online schedulers (:data:`ONLINE_ALGORITHMS`) are the no-churn special
+case: every job of a static instance arrives at its start time, is placed
+immediately and irrevocably under :class:`NeverMigrate`, and never departs.
+They run through the same :meth:`Simulator.feed` as trace and session
+replay, so the three place every arrival identically.  Offline FirstFit
+(Section 2) is not an online algorithm — it sorts by length, which needs
+the whole input — so the honest online baselines are arrival-order
+FirstFit, BestFit and NextFit; experiment E14 measures their cost against
+offline FirstFit and the Observation 1.1 bound.  On proper instances
+arrival-order NextFit *is* the Section 3.1 greedy and inherits its
+2-approximation.
 """
 
 from __future__ import annotations
@@ -42,11 +53,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.bounds import best_lower_bound
-from ..core.events import DynamicTrace, TraceEvent
+from ..core.events import ARRIVE, DynamicTrace, TraceEvent
 from ..core.instance import Instance
 from ..core.intervals import Job
 from ..core.schedule import Schedule, ScheduleBuilder
-from .online import best_fit_placement, first_fit_placement
 
 __all__ = [
     "SimulationPolicy",
@@ -58,6 +68,10 @@ __all__ = [
     "simulate",
     "standard_policies",
     "offline_reference",
+    "online_first_fit",
+    "online_best_fit",
+    "online_next_fit",
+    "ONLINE_ALGORITHMS",
 ]
 
 
@@ -83,11 +97,9 @@ def offline_reference(
     return cost, best_lower_bound(effective)
 
 
-# The arrival rules are shared with the online replay harness so pure-online
-# trace replay and `extensions.online` place every arrival identically.
 _PLACEMENTS: Dict[str, Callable[[ScheduleBuilder, Job], Optional[int]]] = {
-    "first_fit": first_fit_placement,
-    "best_fit": best_fit_placement,
+    "first_fit": ScheduleBuilder.first_fitting_machine,
+    "best_fit": ScheduleBuilder.best_fitting_machine,
 }
 
 
@@ -126,10 +138,10 @@ class SimulationPolicy:
 class NeverMigrate(SimulationPolicy):
     """Pure online: irrevocable arrival-order placement, no replanning.
 
-    With FirstFit placement this coincides with
-    :func:`busytime.extensions.online.online_first_fit` replayed over the
-    trace (and the realized cost equals that schedule's busy time when no
-    job departs early).
+    Fed the arrivals of a static instance this *is*
+    :func:`online_first_fit` (or :func:`online_best_fit` with
+    ``placement="best_fit"``); over a trace without early departures the
+    realized cost equals that schedule's busy time.
     """
 
     name = "never_migrate"
@@ -773,3 +785,70 @@ def simulate(
         ).run()
         for policy in policies
     ]
+
+
+# ---------------------------------------------------------------------------
+# Online schedulers: arrival-only replay of a static instance
+# ---------------------------------------------------------------------------
+
+
+class _NextFit(NeverMigrate):
+    """Arrival-order NextFit: keep one open machine, move on when it is full.
+
+    The only machine ever tried is the last one opened; a job that does not
+    fit there opens the next.
+    """
+
+    def place(self, builder: ScheduleBuilder, job: Job) -> Optional[int]:
+        last = builder.num_machines - 1
+        if last >= 0 and builder.fits(last, job):
+            return last
+        return None
+
+
+def _replay_arrivals(
+    instance: Instance, policy: NeverMigrate, algorithm: str
+) -> Schedule:
+    """Feed ``instance``'s jobs to a streaming simulator as arrivals only.
+
+    Jobs arrive at their start time, ties broken by job id only: ordering
+    simultaneous arrivals by any other attribute (say, end time) would let
+    the replay peek at interval shape, which no online system can do.
+    Nothing departs or migrates, so the final machine state is the online
+    schedule; it is verified against the full ``instance``.
+    """
+    sim = Simulator.streaming(
+        instance.g, policy, instance.horizon, name=instance.name
+    )
+    for job in sorted(instance.jobs, key=lambda j: (j.start, j.id)):
+        sim.feed(TraceEvent(time=job.start, kind=ARRIVE, job=job))
+    live = sim.builder.freeze_partial(validate=False)
+    schedule = Schedule(
+        instance=instance, machines=live.machines, algorithm=algorithm
+    )
+    schedule.validate()
+    return schedule
+
+
+def online_first_fit(instance: Instance) -> Schedule:
+    """Arrival-order FirstFit: lowest-indexed machine that still fits."""
+    return _replay_arrivals(instance, NeverMigrate(), "online_first_fit")
+
+
+def online_best_fit(instance: Instance) -> Schedule:
+    """Arrival-order BestFit (:meth:`ScheduleBuilder.best_fitting_machine`)."""
+    return _replay_arrivals(
+        instance, NeverMigrate(placement="best_fit"), "online_best_fit"
+    )
+
+
+def online_next_fit(instance: Instance) -> Schedule:
+    """Arrival-order NextFit; the Section 3.1 greedy on proper instances."""
+    return _replay_arrivals(instance, _NextFit(), "online_next_fit")
+
+
+ONLINE_ALGORITHMS: Dict[str, Callable[[Instance], Schedule]] = {
+    "online_first_fit": online_first_fit,
+    "online_best_fit": online_best_fit,
+    "online_next_fit": online_next_fit,
+}

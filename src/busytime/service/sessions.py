@@ -115,14 +115,22 @@ def session_policy(
     algorithm: Optional[str],
     placement: str,
 ) -> SimulationPolicy:
-    """Build the :mod:`~busytime.extensions.dynamic` policy a config names."""
-    if policy == "never_migrate":
-        return NeverMigrate(placement=placement)
-    if policy in ("rolling_horizon", "migration_budget"):
-        if replan_period is None:
-            raise SessionValidationError(
-                f"policy {policy!r} needs a replan_period"
-            )
+    """Build the :mod:`~busytime.extensions.dynamic` policy a config names.
+
+    Every refusal — including a policy constructor's own ``ValueError``
+    (unknown placement, non-positive period, negative budget) — is a
+    :class:`SessionValidationError`, which the HTTP frontend answers with
+    a 400.
+    """
+    if policy not in _POLICIES:
+        raise SessionValidationError(
+            f"unknown policy {policy!r}; available: {', '.join(_POLICIES)}"
+        )
+    if policy != "never_migrate" and replan_period is None:
+        raise SessionValidationError(f"policy {policy!r} needs a replan_period")
+    try:
+        if policy == "never_migrate":
+            return NeverMigrate(placement=placement)
         if policy == "rolling_horizon":
             return RollingHorizon(
                 replan_period, algorithm=algorithm, placement=placement
@@ -130,9 +138,8 @@ def session_policy(
         return MigrationBudget(
             replan_period, budget=budget, algorithm=algorithm, placement=placement
         )
-    raise SessionValidationError(
-        f"unknown policy {policy!r}; available: {', '.join(_POLICIES)}"
-    )
+    except ValueError as exc:
+        raise SessionValidationError(str(exc)) from None
 
 
 @dataclass(frozen=True)

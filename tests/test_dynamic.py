@@ -26,10 +26,10 @@ from busytime.extensions.dynamic import (
     RollingHorizon,
     SimulationPolicy,
     Simulator,
+    online_first_fit,
     simulate,
     standard_policies,
 )
-from busytime.extensions.online import online_first_fit
 from busytime.generators import (
     DYNAMIC_TRACE_FAMILIES,
     adversarial_dynamic_trace,

@@ -30,15 +30,6 @@ class TestPublicApi:
         for name in busytime.__all__:
             assert hasattr(busytime, name), name
 
-    def test_repro_alias_matches(self):
-        import busytime
-        import repro
-
-        assert repro.first_fit is busytime.first_fit
-        assert repro.__version__ == busytime.__version__
-        for name in busytime.__all__:
-            assert hasattr(repro, name), name
-
     def test_quickstart_snippet(self):
         # The README / module docstring example must keep working.
         inst = Instance.from_intervals([(0, 3), (1, 4), (2, 6), (5, 9)], g=2)

@@ -1,4 +1,4 @@
-"""Tests for the online schedulers (busytime.extensions.online)."""
+"""Tests for the online schedulers (arrival-only replay in busytime.extensions.dynamic)."""
 
 import pytest
 
@@ -6,44 +6,51 @@ from busytime.algorithms import first_fit, proper_greedy
 from busytime.core.bounds import best_lower_bound
 from busytime.core.instance import Instance
 from busytime.core.intervals import Interval, Job
-from busytime.extensions import (
+from busytime.extensions.dynamic import (
     ONLINE_ALGORITHMS,
+    NeverMigrate,
+    _replay_arrivals,
     online_best_fit,
     online_first_fit,
     online_next_fit,
-    replay_online,
 )
 from busytime.generators import proper_instance, uniform_random_instance
 
 
+class _Spy(NeverMigrate):
+    """FirstFit placement that records the arrival sequence."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def place(self, builder, job):
+        self.seen.append(job.id)
+        return super().place(builder, job)
+
+
 class TestReplayHarness:
-    def test_decisions_recorded(self):
+    def test_every_arrival_is_assigned(self):
         inst = uniform_random_instance(15, g=2, seed=0)
-        result = replay_online(
-            inst, lambda b, j: b.first_fitting_machine(j), "probe"
-        )
-        result.schedule.validate()
-        assert set(result.decisions) == set(inst.job_ids)
+        schedule = online_first_fit(inst)
+        schedule.validate()
+        assert set(schedule.assignment()) == set(inst.job_ids)
 
     def test_invalid_policy_choice_rejected(self):
         inst = Instance.from_intervals([(0, 5), (1, 6)], g=1)
 
-        def bad_policy(builder, job):
-            return 0 if builder.num_machines else None
+        class BadPolicy(NeverMigrate):
+            def place(self, builder, job):
+                return 0 if builder.num_machines else None
 
         with pytest.raises(ValueError):
-            replay_online(inst, bad_policy, "bad")
+            _replay_arrivals(inst, BadPolicy(), "bad")
 
     def test_arrival_order_is_by_start_time(self):
         inst = Instance.from_intervals([(5, 6), (0, 10), (2, 3)], g=1)
-        seen = []
-
-        def spy(builder, job):
-            seen.append(job.id)
-            return builder.first_fitting_machine(job)
-
-        replay_online(inst, spy, "spy")
-        starts = [inst.job_by_id(i).start for i in seen]
+        spy = _Spy()
+        _replay_arrivals(inst, spy, "spy")
+        starts = [inst.job_by_id(i).start for i in spy.seen]
         assert starts == sorted(starts)
 
     def test_simultaneous_arrivals_break_ties_by_job_id(self):
@@ -55,20 +62,15 @@ class TestReplayHarness:
              Job(id=3, interval=Interval(0, 30))],
             g=2,
         )
-        seen = []
-
-        def spy(builder, job):
-            seen.append(job.id)
-            return builder.first_fitting_machine(job)
-
-        replay_online(inst, spy, "spy")
-        assert seen == [1, 3, 5]
+        spy = _Spy()
+        _replay_arrivals(inst, spy, "spy")
+        assert spy.seen == [1, 3, 5]
 
     def test_decision_trace_is_deterministic_across_replays(self):
         # Heavy endpoint collisions: snapping starts to an integer grid
         # forces simultaneous arrivals, the case the (start, id) tie-break
-        # exists for.  The recorded decision trace — not just the cost —
-        # must be identical run over run.
+        # exists for.  The assignment — not just the cost — must be
+        # identical run over run.
         base = uniform_random_instance(60, g=3, horizon=12.0, seed=8)
         inst = Instance.from_intervals(
             [
@@ -79,14 +81,9 @@ class TestReplayHarness:
             g=3,
         )
 
-        def run():
-            return replay_online(
-                inst, lambda b, j: b.first_fitting_machine(j), "probe"
-            ).decisions
-
-        first = run()
+        first = online_first_fit(inst).assignment()
         for _ in range(3):
-            assert run() == first
+            assert online_first_fit(inst).assignment() == first
 
     @pytest.mark.parametrize("name", sorted(ONLINE_ALGORITHMS))
     def test_assignments_are_deterministic_across_replays(self, name):

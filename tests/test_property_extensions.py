@@ -5,18 +5,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from busytime.algorithms import first_fit, improve
-from busytime.core.bounds import best_lower_bound
+from busytime.algorithms.placement import anchor_first_fit
+from busytime.core.bounds import best_lower_bound, combined_bound
 from busytime.core.instance import Instance
-from busytime.core.intervals import Interval
-from busytime.extensions import (
-    FlexibleInstance,
-    FlexibleJob,
-    flexible_first_fit,
-    flexible_lower_bound,
-    online_best_fit,
-    online_first_fit,
-    online_next_fit,
-)
+from busytime.core.intervals import Interval, Job
+from busytime.extensions import online_best_fit, online_first_fit, online_next_fit
 from busytime.io import (
     instance_from_dict,
     instance_to_dict,
@@ -60,15 +53,15 @@ def flexible_instances(draw, max_jobs=12):
         slack = draw(st.floats(min_value=0.0, max_value=10.0, width=32))
         demand = draw(st.integers(min_value=1, max_value=g))
         jobs.append(
-            FlexibleJob(
+            Job(
                 id=i,
+                interval=Interval(float(release), float(release + processing)),
                 release=float(release),
-                due=float(release + processing + slack),
-                processing=float(processing),
-                demand=float(demand),
+                deadline=float(release + processing + slack),
+                demand=demand,
             )
         )
-    return FlexibleInstance(jobs=tuple(jobs), g=float(g))
+    return Instance(jobs=tuple(jobs), g=g)
 
 
 @st.composite
@@ -87,22 +80,22 @@ def ring_traffics(draw):
 
 
 class TestFlexibleProperties:
-    @given(fi=flexible_instances())
+    @given(inst=flexible_instances())
     @RELAXED
-    def test_two_phase_heuristic_feasible_and_bounded(self, fi):
-        sched = flexible_first_fit(fi)
+    def test_two_phase_heuristic_feasible_and_bounded(self, inst):
+        sched = anchor_first_fit(inst)
         sched.validate()
-        assert sched.total_busy_time >= flexible_lower_bound(fi) - 1e-6
+        assert sched.total_busy_time >= combined_bound(inst) - 1e-6
         # busy time never exceeds scheduling every job alone at its anchor
-        assert sched.total_busy_time <= sum(j.processing for j in fi.jobs) + 1e-6
+        assert sched.total_busy_time <= sum(j.length for j in inst.jobs) + 1e-6
 
     @given(inst=rigid_instances())
     @RELAXED
     def test_rigid_embedding_matches_first_fit(self, inst):
-        fi = FlexibleInstance.from_rigid(inst)
-        assert flexible_first_fit(fi).total_busy_time == pytest.approx(
-            first_fit(inst).total_busy_time, rel=1e-9, abs=1e-9
-        )
+        sched = anchor_first_fit(inst)
+        reference = first_fit(inst)
+        assert [m.jobs for m in sched.machines] == [m.jobs for m in reference.machines]
+        assert sched.total_busy_time == reference.total_busy_time
 
 
 class TestOnlineProperties:

@@ -835,6 +835,27 @@ class TestHTTPEndpoints:
             assert status == 400, body
             assert "error" in payload
 
+    def test_policy_constructor_refusals_are_a_400(self, http_server, capsys):
+        # The policy constructors' own ValueErrors must surface as a 400
+        # with their message, not as a dropped connection and a traceback.
+        url, _, _ = http_server
+        for extra, message in (
+            ({"placement": "nope"}, "unknown placement 'nope'"),
+            (
+                {"policy": "rolling_horizon", "replan_period": -1},
+                "replan period must be positive",
+            ),
+            (
+                {"policy": "migration_budget", "replan_period": 5, "budget": -1},
+                "migration budget must be non-negative",
+            ),
+        ):
+            body = {"g": 2, "horizon": [0, 10], **extra}
+            status, payload, _ = http_post(url, "/sessions", body)
+            assert status == 400, body
+            assert message in payload["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_session_paths_are_404(self, http_server):
         url, _, _ = http_server
         status, _, _ = http_post(url, "/sessions/ghost/events", {"events": []})
