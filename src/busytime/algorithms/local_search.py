@@ -85,11 +85,13 @@ def improve(
 ) -> Schedule:
     """Improve a feasible schedule by relocations and machine merges.
 
-    The returned schedule is feasible, costs at most as much as the input and
-    carries the original algorithm name suffixed with ``+ls`` plus the move
-    statistics in ``meta['local_search']``.
+    Every move keeps the machines it touches within ``g``, so a feasible
+    input yields a feasible result that costs at most as much.  Neither the
+    input nor the result is verified here: like every algorithm's output,
+    the result is checked where it is handed on (``Engine.solve``, the
+    racer).  It carries the original algorithm name suffixed with ``+ls``
+    plus the move statistics in ``meta['local_search']``.
     """
-    schedule.validate()
     g = schedule.instance.g
     machines: List[List[Job]] = [list(m.jobs) for m in schedule.machines]
     stats = LocalSearchResult()
@@ -186,7 +188,6 @@ def improve(
         algorithm=(schedule.algorithm + "+ls") if schedule.algorithm else "local_search",
         meta={**dict(schedule.meta), "local_search": stats.as_dict()},
     )
-    result.validate()
     # Local search must never make things worse.
     assert result.total_busy_time <= schedule.total_busy_time + 1e-6
     return result

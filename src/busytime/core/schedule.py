@@ -641,25 +641,27 @@ class ScheduleBuilder:
 
     # -- output ----------------------------------------------------------------
 
-    def freeze(self, validate: bool = True) -> Schedule:
-        """Produce the immutable :class:`Schedule` (optionally validating it).
+    def freeze(self) -> Schedule:
+        """Produce the immutable :class:`Schedule`, unverified.
 
         The incrementally maintained profiles are handed to the frozen
         machines (re-indexed densely in case empty machines were opened and
-        never used), so the validation cross-check exercises the *same*
-        machine state that answered the ``fits`` queries during
-        construction, not a freshly rebuilt one.
+        never used), so a later :func:`verify_schedule` cross-checks the
+        *same* machine state that answered the ``fits`` queries during
+        construction, not a freshly rebuilt one.  Freezing runs no oracle
+        pass: the caller that hands the schedule on verifies it.
         """
-        return self._freeze_against(self.instance, validate)
+        return self._freeze_against(self.instance)
 
-    def freeze_partial(self, validate: bool = True, name: str = "") -> Schedule:
+    def freeze_partial(self, name: str = "") -> Schedule:
         """Freeze the schedule of the *currently assigned* jobs only.
 
         After departures (:meth:`unassign`) the builder's live job set is a
         subset of the instance; this freezes against the induced
         sub-instance so ``verify_schedule`` — which insists every instance
-        job is scheduled exactly once — can keep playing oracle after every
-        mutation.  Used by the dynamic simulator's cross-check cadence.
+        job is scheduled exactly once — can play oracle after every
+        mutation.  The dynamic simulator's cross-check cadence runs
+        ``verify_schedule(builder.freeze_partial())``.
         """
         live = Instance(
             jobs=tuple(
@@ -670,9 +672,9 @@ class ScheduleBuilder:
             site_capacity=self.instance.site_capacity,
             background=self.instance.background,
         )
-        return self._freeze_against(live, validate)
+        return self._freeze_against(live)
 
-    def _freeze_against(self, instance: Instance, validate: bool) -> Schedule:
+    def _freeze_against(self, instance: Instance) -> Schedule:
         machines: List[Machine] = []
         for jobs, profile in zip(self._machines, self._profiles):
             if not jobs:
@@ -680,15 +682,12 @@ class ScheduleBuilder:
             m = Machine(index=len(machines), jobs=tuple(jobs))
             # Snapshot so later builder mutations cannot alias the frozen
             # machine's state; the arrays are still the incrementally built
-            # ones, so validation cross-checks the real hot path.
+            # ones, so verification cross-checks the real hot path.
             object.__setattr__(m, "_profile", profile.copy())
             machines.append(m)
-        sched = Schedule(
+        return Schedule(
             instance=instance,
             machines=tuple(machines),
             algorithm=self.algorithm,
             meta=dict(self.meta),
         )
-        if validate:
-            sched.validate()
-        return sched

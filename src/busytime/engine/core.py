@@ -42,15 +42,14 @@ __all__ = ["Engine", "solve", "solve_many"]
 
 def _single_machine_schedule(component: Instance) -> Schedule:
     """All jobs on one machine: cost ``span(J)``, matching the span bound,
-    hence optimal — feasible exactly when the clique number is at most ``g``."""
-    sched = Schedule(
+    hence optimal — feasible exactly when the clique number is at most ``g``.
+    Unverified, like every algorithm's output."""
+    return Schedule(
         instance=component,
         machines=(Machine(index=0, jobs=component.jobs),),
         algorithm=SINGLE_MACHINE,
         meta={"optimal": True},
     )
-    sched.validate()
-    return sched
 
 
 def _solve_component(
@@ -263,8 +262,8 @@ class Engine:
         else:
             schedule = scheduler(request.instance)
         timings["schedule"] = time.monotonic() - started
-        if request.validate_schedule:
-            schedule.validate()
+        # The one oracle pass on what the caller is handed.
+        schedule.validate()
         proven: Optional[float] = None
         if (
             isinstance(scheduler, Scheduler)
@@ -294,10 +293,9 @@ class Engine:
     ) -> SolveReport:
         """Portfolio race on the whole instance (see the racer's contracts).
 
-        The racer validates every finished candidate and runs the winning
-        schedule through :func:`~busytime.core.schedule.verify_schedule`
-        (the independent oracle), so no extra validation pass is needed
-        here even with ``validate_schedule=False``.
+        The racer runs :func:`~busytime.core.schedule.verify_schedule` once
+        on every candidate that finishes, and only a verified candidate can
+        win, so the winner gets no second pass here.
         """
         from ..portfolio.racer import race_candidates
 
@@ -385,8 +383,9 @@ class Engine:
                 "portfolio": request.portfolio,
             },
         )
-        if request.validate_schedule:
-            schedule.validate()
+        # The one oracle pass on what the caller is handed: the component
+        # schedules were not verified on their own.
+        schedule.validate()
         ratios = [d.proven_ratio for d in decisions]
         # Component optima add up, so the worst per-component guarantee
         # certifies the merged schedule.

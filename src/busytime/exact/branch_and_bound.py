@@ -236,11 +236,9 @@ def branch_and_bound_optimum(
             if block:
                 machines.append(Machine(index=len(machines), jobs=tuple(block)))
 
-    schedule = Schedule(
+    return Schedule(
         instance=instance,
         machines=tuple(machines),
         algorithm="branch_and_bound",
         meta={"optimal": True, "stats": total_stats},
     )
-    schedule.validate()
-    return schedule

@@ -89,11 +89,9 @@ def brute_force_optimum(instance: Instance) -> Schedule:
     machines = tuple(
         Machine(index=i, jobs=tuple(block)) for i, block in enumerate(best_blocks)
     )
-    schedule = Schedule(
+    return Schedule(
         instance=instance,
         machines=machines,
         algorithm="brute_force",
         meta={"optimal": True},
     )
-    schedule.validate()
-    return schedule

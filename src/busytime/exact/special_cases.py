@@ -87,14 +87,12 @@ def minimize_machine_count(instance: Instance) -> Schedule:
     machines = tuple(
         Machine(index=i, jobs=tuple(b)) for i, b in enumerate(blocks) if b
     )
-    schedule = Schedule(
+    return Schedule(
         instance=instance,
         machines=machines,
         algorithm="machine_min",
         meta={"min_machine_count": True, "chromatic_number": num_colors},
     )
-    schedule.validate()
-    return schedule
 
 
 def optimal_cost_if_polynomial(instance: Instance):

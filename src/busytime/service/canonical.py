@@ -35,10 +35,10 @@ it maps a report solved on the canonical instance back onto the caller's
 original instance — original job objects, original ids, original time
 axis.  The mapping is checked exactly (bijection onto the original job
 set, bit-equal translated intervals), which makes the rebuilt schedule
-feasible *by construction* given that the canonical schedule was validated
-when it was produced (fresh solves validate; disk loads re-validate in
-``schedule_from_dict``).  ``validate=True`` additionally reruns the full
-slow-path oracle on the rebuilt schedule; the canonicalization tests do.
+feasible *by construction* given that the canonical schedule was verified
+when it reached the service (``Engine.solve`` verifies what it returns;
+disk loads re-verify in ``schedule_from_dict``).  It runs no oracle pass
+of its own.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ __all__ = [
 #: in both the hashed options and the canonical request's cost model — so
 #: global time translation of instance + tariff together still hits the
 #: same cache line, and the canonical solve prices bands correctly.
-CANONICAL_VERSION = 4
+#: Version 5 dropped the request's schedule-verification switch from the
+#: option document (the engine always verifies), so stores written under
+#: version 4 go cold once.
+CANONICAL_VERSION = 5
 
 #: Instance sizes from which :func:`canonicalize` sorts with ``np.lexsort``
 #: over column arrays instead of python tuple sorting.  Same keys, same
@@ -353,7 +356,6 @@ def decanonicalize_report(
     form: CanonicalForm,
     original: Instance,
     tags: Optional[Mapping[str, object]] = None,
-    validate: bool = False,
 ) -> SolveReport:
     """Map a report solved on the canonical instance back onto the original.
 
@@ -364,7 +366,7 @@ def decanonicalize_report(
     by :func:`canonicalize`) — so a form paired with the wrong instance
     raises instead of fabricating a schedule.  Under those checks the
     rebuilt schedule is feasible by construction whenever the canonical one
-    was; ``validate=True`` reruns the full slow-path oracle anyway.
+    was, so no oracle pass runs here.
 
     Costs, bounds and certificates are translation/relabeling invariant and
     carry over unchanged.
@@ -420,8 +422,6 @@ def decanonicalize_report(
         algorithm=report.schedule.algorithm,
         meta=dict(report.schedule.meta),
     )
-    if validate:
-        schedule.validate()
     return replace(
         report,
         schedule=schedule,

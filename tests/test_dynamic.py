@@ -19,7 +19,7 @@ from busytime.core.events import (
 )
 from busytime.core.instance import Instance
 from busytime.core.intervals import Interval, Job, span
-from busytime.core.schedule import ScheduleBuilder
+from busytime.core.schedule import ScheduleBuilder, verify_schedule
 from busytime.extensions.dynamic import (
     MigrationBudget,
     NeverMigrate,
@@ -200,7 +200,7 @@ class TestBuilderMutationPath:
         assert after.count == before.count
         assert after.measure == pytest.approx(before.measure)
         assert after.max_load() == before.max_load()
-        builder.freeze()  # full validation via the slow-path oracle
+        verify_schedule(builder.freeze())  # the slow-path oracle
 
     def test_unassign_unknown_job_raises(self, tiny_instance):
         builder = ScheduleBuilder(tiny_instance)
@@ -213,7 +213,8 @@ class TestBuilderMutationPath:
             builder.assign_first_fit(job)
         for job in random_medium.jobs[::3]:
             builder.unassign(job)
-        schedule = builder.freeze_partial()  # validate=True is the default
+        schedule = builder.freeze_partial()
+        verify_schedule(schedule)
         survivor_ids = {j.id for j in random_medium.jobs} - {
             j.id for j in random_medium.jobs[::3]
         }

@@ -282,7 +282,7 @@ def test_registry_algorithms_are_stable_under_the_model_axis(name, label, instan
     model = get_cost_model("busy_time")
     assert direct.cost_under(model) == direct.total_busy_time
     report = Engine().solve(
-        SolveRequest(instance=instance, algorithm=name, validate_schedule=True)
+        SolveRequest(instance=instance, algorithm=name)
     )
     assert report.schedule.assignment() == direct.assignment()
     assert report.cost == direct.total_busy_time
