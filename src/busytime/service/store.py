@@ -68,6 +68,13 @@ __all__ = ["HistoryScan", "ResultStore"]
 
 _PathLike = Union[str, Path]
 
+#: Why :meth:`ResultStore._load` found no usable report in an entry.
+_CORRUPT, _OTHER_VERSION = "corrupt", "version"
+
+#: What a malformed entry can raise while its report is rebuilt (a wrongly
+#: typed field, a missing key, an infeasible schedule).
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError)
+
 
 @dataclass
 class HistoryScan:
@@ -251,12 +258,41 @@ class ResultStore:
             # Pre-partitioning layouts (and shard_depth=0 co-writers) put
             # the document directly under the root; honour them on reads.
             path = self.directory / f"{fingerprint}.json"
+        # Missing, corrupt or version-incompatible entry: a miss, not an
+        # error — the request simply re-solves and overwrites it.
+        loaded = self._load(path)
+        return loaded if isinstance(loaded, SolveReport) else None
+
+    @staticmethod
+    def _load(path: Path, min_version: int = 1) -> Union[SolveReport, str]:
+        """The report stored at ``path``, or why there is none.
+
+        The one reader of disk entries (:meth:`get`, :meth:`warm` and
+        :meth:`scan_history` all go through it).  Returns
+        :data:`_OTHER_VERSION` for a document of another format, an
+        unknown version or one below ``min_version``, and :data:`_CORRUPT`
+        for anything else that does not rebuild into a report: unreadable
+        bytes, malformed JSON, wrongly typed fields, a schedule the oracle
+        rejects.
+        """
         try:
-            return solve_report_from_dict(json.loads(path.read_text()))
-        except (OSError, ValueError, KeyError):
-            # Missing, corrupt or version-incompatible entry: a miss, not an
-            # error — the request simply re-solves and overwrites it.
-            return None
+            data = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return _CORRUPT
+        version = data.get("version", 1) if isinstance(data, dict) else None
+        if (
+            not isinstance(data, dict)
+            or data.get("format") != "busytime-solve-report"
+            or not isinstance(version, int)
+            or isinstance(version, bool)
+            or version < min_version
+            or version not in _SUPPORTED_VERSIONS["busytime-solve-report"]
+        ):
+            return _OTHER_VERSION
+        try:
+            return solve_report_from_dict(data)
+        except _DECODE_ERRORS:
+            return _CORRUPT
 
     def _disk_entries(self) -> List[Tuple[float, Path]]:
         """Every disk entry as ``(mtime, path)`` (both layouts); unsorted."""
@@ -350,9 +386,8 @@ class ResultStore:
             with self._lock:
                 if fingerprint in self._memory:
                     continue
-            try:
-                report = solve_report_from_dict(json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError):
+            report = self._load(path)
+            if not isinstance(report, SolveReport):
                 continue
             with self._lock:
                 if fingerprint not in self._memory:
@@ -405,28 +440,13 @@ class ResultStore:
                 continue  # the same entry in both flat and sharded layouts
             seen.add(fingerprint)
             scan.scanned += 1
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                scan.skipped_corrupt += 1
-                continue
-            version = data.get("version", 1) if isinstance(data, dict) else None
-            if (
-                not isinstance(data, dict)
-                or data.get("format") != "busytime-solve-report"
-                or not isinstance(version, int)
-                or isinstance(version, bool)
-                or version < min_version
-                or version not in _SUPPORTED_VERSIONS["busytime-solve-report"]
-            ):
+            loaded = self._load(path, min_version)
+            if isinstance(loaded, SolveReport):
+                scan.reports.append((fingerprint, loaded))
+            elif loaded == _OTHER_VERSION:
                 scan.skipped_version += 1
-                continue
-            try:
-                report = solve_report_from_dict(data)
-            except (ValueError, KeyError, TypeError):
+            else:
                 scan.skipped_corrupt += 1
-                continue
-            scan.reports.append((fingerprint, report))
         return scan
 
     # -- free-form documents (session checkpoints) ----------------------------
