@@ -145,12 +145,17 @@ class AdmissionLimits:
                 f"algorithm to use policy dispatch)"
             )
         if self.max_time_limit is not None:
-            if request.time_limit is not None and request.time_limit > self.max_time_limit:
+            # ``not <=`` so that a NaN budget is refused too.
+            if request.time_limit is not None and not (
+                request.time_limit <= self.max_time_limit
+            ):
                 raise AdmissionError(
                     f"time_limit {request.time_limit}s is above the service "
                     f"limit of {self.max_time_limit}s"
                 )
-            if request.deadline is not None and request.deadline > self.max_time_limit:
+            if request.deadline is not None and not (
+                request.deadline <= self.max_time_limit
+            ):
                 raise AdmissionError(
                     f"deadline {request.deadline}s is above the service "
                     f"limit of {self.max_time_limit}s"

@@ -61,6 +61,27 @@ class TestRequestValidation:
         with pytest.raises(RequestValidationError):
             Engine().solve(SolveRequest(instance=inst, time_limit=-1.0))
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"time_limit": float("nan")}, {"race": 2, "deadline": float("nan")}],
+        ids=["time_limit", "deadline"],
+    )
+    def test_rejects_nan_budgets(self, options):
+        inst = uniform_random_instance(5, g=2, seed=0)
+        with pytest.raises(RequestValidationError, match="non-negative, got nan"):
+            Engine().solve(SolveRequest(instance=inst, **options))
+
+    def test_unknown_name_refusals_carry_the_bare_message(self):
+        inst = uniform_random_instance(5, g=2, seed=0)
+        with pytest.raises(RequestValidationError) as err:
+            SolveRequest(instance=inst, policy="nope").validate()
+        assert str(err.value) == (
+            f"unknown policy 'nope'; available: {sorted(available_policies())}"
+        )
+        with pytest.raises(RequestValidationError) as err:
+            SolveRequest(instance=inst, algorithm="nope").validate()
+        assert str(err.value).startswith("unknown scheduler 'nope'; available: [")
+
     def test_engine_rejects_unknown_default_policy(self):
         with pytest.raises(KeyError):
             Engine(default_policy="nope")
