@@ -819,9 +819,16 @@ class LocalCluster:
         return f"http://{self.router.server_address[0]}:{self.router.server_address[1]}"
 
     def kill_worker(self, index: int) -> None:
-        """Abruptly stop one worker (no drain): the failover drill."""
-        self.servers[index].shutdown()
-        self.servers[index].server_close()
+        """Abruptly stop one worker (no drain): the failover drill.
+
+        The accepted connections are hung up too, before the service
+        closes, so a killed worker answers nothing more: neither requests
+        in flight nor keep-alive connections the router pooled.
+        """
+        server = self.servers[index]
+        server.shutdown()
+        server.server_close()
+        server.close_connections()
         self.services[index].close()
 
     def drain_worker(self, index: int, timeout: float = 30.0) -> bool:

@@ -18,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from busytime import Instance, Interval, Job
+from busytime import Engine, Instance, Interval, Job
 from busytime import io as bio
 from busytime.service import LocalCluster, ShardMap, submit_instance
 from busytime.service.canonical import request_fingerprint
@@ -44,6 +44,22 @@ def dyadic_instance(rng: random.Random, n: int, g: int = 2, name: str = "cl") ->
 
 def _doc(seed: int, n: int = 6) -> dict:
     return bio.instance_to_dict(dyadic_instance(random.Random(seed), n, name=f"cl{seed}"))
+
+
+def _fingerprint(seed: int, n: int = 5) -> str:
+    return request_fingerprint(_request_from_document({"instance": _doc(seed, n=n)}))
+
+
+class _HeldEngine(Engine):
+    """An engine whose solves wait for ``release`` (set by the kill)."""
+
+    def __init__(self, release: threading.Event) -> None:
+        super().__init__()
+        self.release = release
+
+    def solve(self, request, *args, **kwargs):
+        self.release.wait(timeout=60)
+        return super().solve(request, *args, **kwargs)
 
 
 def _get_json(url: str):
@@ -256,8 +272,21 @@ class TestClusterFailover:
 
     def test_concurrent_submissions_survive_a_mid_stream_kill(self):
         # The zero-lost-jobs drill: clients with retries enabled keep
-        # succeeding while one worker is killed under them.
+        # succeeding while one worker is killed under them.  Worker 0 holds
+        # every solve until the kill, so whatever the thread timing, the
+        # pre-kill requests it owns are in flight when it dies and must
+        # fail over; none of them can finish on it first.
         with LocalCluster(workers=3, store_capacity=64) as cluster:
+            killed = threading.Event()
+            victim = cluster.services[0]
+            victim.engine = _HeldEngine(killed)
+            close_victim = victim.close
+
+            def close(*args, **kwargs):
+                killed.set()  # kill_worker closes the service last
+                close_victim(*args, **kwargs)
+
+            victim.close = close
             results = {}
             errors = []
 
@@ -270,16 +299,28 @@ class TestClusterFailover:
                 except RuntimeError as exc:  # pragma: no cover - the failure
                     errors.append((seed, exc))
 
-            threads = [
-                threading.Thread(target=client, args=(seed,))
-                for seed in range(40, 52)
+            seeds = list(range(40, 52))
+            owned = [
+                seed for seed in seeds
+                if cluster.router.shard_map.primary(_fingerprint(seed))
+                == cluster.worker_urls[0]
             ]
-            for t in threads[:4]:
-                t.start()
+            # Worker 0's clients go first, so the kill lands mid-flight.
+            pre_kill = (owned + [s for s in seeds if s not in owned])[:4]
+            threads = {
+                seed: threading.Thread(target=client, args=(seed,)) for seed in seeds
+            }
+            for seed in pre_kill:
+                threads[seed].start()
+            held = len(set(pre_kill) & set(owned))
+            deadline = time.monotonic() + 30
+            while victim.stats()["submitted"] < held and time.monotonic() < deadline:
+                time.sleep(0.005)
             cluster.kill_worker(0)
-            for t in threads[4:]:
-                t.start()
-            for t in threads:
+            for seed in seeds:
+                if seed not in pre_kill:
+                    threads[seed].start()
+            for t in threads.values():
                 t.join()
             assert not errors
             assert len(results) == 12
