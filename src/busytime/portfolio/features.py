@@ -16,7 +16,8 @@ version also travels in the fingerprint-adjacent metadata document
 
 Features deliberately stick to O(n log n) structural quantities the
 :class:`~busytime.core.instance.Instance` already memoizes (properness,
-clique number, length ratio) plus cheap aggregates — extraction must stay
+clique number) plus cheap aggregates (the positive-length ratio, means,
+peaks) — extraction must stay
 negligible next to even the fastest candidate algorithm, or the selector
 costs more than a mis-ranked pick.
 """
@@ -33,7 +34,9 @@ __all__ = ["FEATURE_VERSION", "feature_names", "extract_features", "features_doc
 #: Version of the feature vector below.  Bump whenever a feature is added,
 #: removed, reordered or redefined: selectors trained against another
 #: version must fall back to the static ranking rather than score garbage.
-FEATURE_VERSION = 1
+#: Version 2 takes ``length_ratio`` over positive lengths only; version 1
+#: was ``inf`` on any instance with a zero-length job.
+FEATURE_VERSION = 2
 
 _FEATURE_NAMES: Tuple[str, ...] = (
     "n",
@@ -82,6 +85,9 @@ def extract_features(instance: Instance) -> Tuple[float, ...]:
     # span >= min job length > 0 for non-empty instances, but guard the
     # ratio anyway: features must be finite for the regressors.
     density = total / (g * span) if span > 0 else 0.0
+    # Zero-length jobs would make the plain length ratio infinite, and an
+    # infinite feature turns every cost head's prediction infinite.
+    positive = [j.length for j in instance.jobs if j.length > 0]
     values = {
         "n": float(n),
         "log1p_n": log1p(float(n)),
@@ -89,7 +95,7 @@ def extract_features(instance: Instance) -> Tuple[float, ...]:
         "span": span,
         "total_length": total,
         "mean_length": total / n,
-        "length_ratio": instance.length_ratio(),
+        "length_ratio": max(positive) / min(positive) if positive else 1.0,
         "density": density,
         "clique_number": float(instance.clique_number),
         "clique_over_g": instance.clique_number / g,

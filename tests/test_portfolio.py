@@ -16,6 +16,7 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -31,10 +32,14 @@ from busytime.core.schedule import verify_schedule
 from busytime.engine.policy import SINGLE_MACHINE, BestRatioPolicy, FirstFitPolicy
 from busytime.engine.request import RequestValidationError
 from busytime.generators import (
+    bounded_length_instance,
     bursty_instance,
+    poisson_arrivals_instance,
     proper_instance,
     uniform_random_instance,
+    uniform_traffic,
 )
+from busytime.optical import traffic_to_instance
 from busytime.portfolio import (
     FEATURE_VERSION,
     SELECTOR_ENV_VAR,
@@ -50,6 +55,7 @@ from busytime.portfolio import (
     train_selector,
 )
 from busytime.portfolio import racer as racer_module
+from busytime.portfolio.selector import gather_training_samples
 from busytime.service import ResultStore
 from busytime.service.store import HistoryScan
 
@@ -121,6 +127,16 @@ class TestFeatures:
         values = dict(zip(feature_names(), extract_features(inst)))
         assert values["g"] == 5.0
         assert values["n"] == 0.0
+
+    def test_zero_length_job_keeps_every_feature_finite(self):
+        # E23's optical-uniform instance: the traffic reduction yields a
+        # zero-length job, which made version 1's length_ratio infinite.
+        inst = traffic_to_instance(uniform_traffic(10, 30, 3, seed=7))
+        assert min(j.length for j in inst.jobs) == 0.0
+        values = dict(zip(feature_names(), extract_features(inst)))
+        assert all(math.isfinite(v) for v in values.values())
+        positive = [j.length for j in inst.jobs if j.length > 0]
+        assert values["length_ratio"] == max(positive) / min(positive)
 
     def test_document_carries_version(self):
         doc = features_document(uniform_random_instance(10, 2, seed=1))
@@ -426,10 +442,50 @@ def _handcrafted_samples():
     return samples
 
 
+def _history_samples():
+    """Samples mined the way E23 trains (five families at disjoint seeds,
+    solved into a store, every candidate replayed), with each measured wall
+    time replaced by a reproducible stand-in proportional to n."""
+    store = ResultStore(capacity=16)
+    makers = (
+        (uniform_random_instance, 3, 30),
+        (poisson_arrivals_instance, 3, 30),
+        (bursty_instance, 4, 30),
+        (proper_instance, 3, 25),
+        (bounded_length_instance, 3, 25),
+    )
+    engine = Engine()
+    for index, (maker, g, n) in enumerate(makers):
+        for seed in (100, 101):
+            report = engine.solve(SolveRequest(instance=maker(n, g, seed=seed)))
+            store.put(f"{index:032x}{seed:032x}", report)
+    samples, _, _ = gather_training_samples(store)
+    return [replace(s, wall_time=1e-4 * (1.0 + s.features[0])) for s in samples]
+
+
 class TestLearnedSelector:
     def test_training_requires_samples(self):
         with pytest.raises(ValueError, match="no training samples"):
             train_selector([])
+
+    def test_zero_length_job_ranking_ignores_wall_time_noise(self):
+        """An infinite feature made every cost head predict infinity, so the
+        time heads, fit on measured wall time, decided the ranking.  With
+        finite features, selectors trained on the same samples with wall
+        times jittered 0.5-2x rank the instance the same way."""
+        import random
+
+        inst = traffic_to_instance(uniform_traffic(10, 30, 3, seed=7))
+        samples = _history_samples()
+        rankings = set()
+        for seed in range(6):
+            rng = random.Random(seed)
+            jittered = [
+                replace(s, wall_time=s.wall_time * rng.uniform(0.5, 2.0))
+                for s in samples
+            ]
+            rankings.add(tuple(LearnedPolicy(train_selector(jittered)).rank(inst)))
+        assert len(rankings) == 1
 
     def test_save_load_ranks_identically(self, tmp_path):
         selector = train_selector(_handcrafted_samples())
