@@ -54,6 +54,7 @@ __all__ = [
     "TraceValidationError",
     "ARRIVE",
     "DEPART",
+    "covered_measure",
     "sweep_events",
     "load_profile",
     "integrate_step_function",
@@ -346,6 +347,54 @@ class TraceValidator:
             )
 
 
+def _rank_counts(starts: List[float], ends: List[float], closed: bool = True):
+    """Rank counting over the sorted endpoints of ``[starts[i], ends[i]]``.
+
+    Returns ``(sorted starts, sorted ends, times, point, seg, measure)``:
+    the distinct breakpoints, the closed load at each (``None`` unless
+    ``closed``), the load on the open segment to its right, and the covered
+    length summed left to right over the covered segments.  That sum is a
+    plain ``sum()``, so a set covering no segment (zero-length intervals
+    only) measures the int ``0``.
+    """
+    s_sorted = sorted(starts)
+    e_sorted = sorted(ends)
+    times = sorted({*s_sorted, *e_sorted})
+    point = (
+        [bisect_right(s_sorted, t) - bisect_left(e_sorted, t) for t in times]
+        if closed
+        else None
+    )
+    seg = [bisect_right(s_sorted, t) - bisect_right(e_sorted, t) for t in times]
+    seg[-1] = 0  # nothing extends past the last breakpoint
+    measure = sum(hi - lo for lo, hi, s in zip(times, times[1:], seg) if s > 0)
+    return s_sorted, e_sorted, times, point, seg, measure
+
+
+def covered_measure(starts: Sequence[float], ends: Sequence[float]) -> float:
+    """``span`` of the closed intervals ``[starts[i], ends[i]]``: a machine's busy time.
+
+    Bit for bit (type included) the :attr:`SweepProfile.measure` of
+    ``SweepProfile.from_intervals`` over the same intervals, by the same
+    kernels: numpy from :data:`BULK_FROM_INTERVALS_MIN` intervals up, the
+    left-to-right rank counting below.  Callers holding only endpoint
+    columns (the service answering a cache hit) get a machine's busy time
+    without building jobs or a profile.
+    """
+    n = len(starts)
+    if n == 0:
+        return 0.0
+    if n >= BULK_FROM_INTERVALS_MIN:
+        import numpy as np
+
+        from .bulk import profile_arrays
+
+        return profile_arrays(
+            np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
+        )[5]
+    return _rank_counts(starts, ends, closed=False)[5]
+
+
 class SweepProfile:
     """Incrementally maintained load profile of a set of closed intervals.
 
@@ -457,14 +506,8 @@ class SweepProfile:
             prof._count = n
             prof._measure = measure
             return prof
-        starts = sorted(iv.start for iv in ivs)
-        ends = sorted(iv.end for iv in ivs)
-        times = sorted({*starts, *ends})
-        point = [bisect_right(starts, t) - bisect_left(ends, t) for t in times]
-        seg = [bisect_right(starts, t) - bisect_right(ends, t) for t in times]
-        seg[-1] = 0  # nothing extends past the last breakpoint
-        measure = sum(
-            hi - lo for lo, hi, s in zip(times, times[1:], seg) if s > 0
+        _, _, times, point, seg, measure = _rank_counts(
+            [iv.start for iv in ivs], [iv.end for iv in ivs]
         )
         prof._times = times
         prof._point = point

@@ -30,7 +30,7 @@ from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import Scheduler, get_scheduler
-from ..core.instance import Instance, connected_components
+from ..core.instance import Instance, InstanceRows, connected_components
 from ..core.objectives import CostModel
 from ..core.schedule import Machine, Schedule
 from .policy import DEFAULT_POLICY, SINGLE_MACHINE, SelectionPolicy, get_policy
@@ -176,6 +176,9 @@ class Engine:
                 race=request.race if race is None else race,
                 deadline=request.deadline if deadline is None else deadline,
             )
+        if isinstance(request.instance, InstanceRows):
+            # Parsed rows (a served request): build the Instance once, here.
+            request = replace(request, instance=request.instance.to_instance())
         request.validate(check_algorithm=scheduler is None)
         started = time.monotonic()
         timings: Dict[str, float] = {}

@@ -12,9 +12,9 @@ callables or open resources.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
-from ..core.instance import Instance
+from ..core.instance import Instance, InstanceRows
 from ..core.objectives import CostModel, get_cost_model, registered_objectives
 
 __all__ = ["SolveRequest", "RequestValidationError", "OBJECTIVES"]
@@ -47,7 +47,12 @@ class SolveRequest:
     Parameters
     ----------
     instance:
-        The instance to schedule.
+        The instance to schedule: an :class:`Instance`, or the flat
+        :class:`~busytime.core.instance.InstanceRows` a parsed document is
+        (what ``POST /solve`` submits, so the service can answer cache hits
+        without job objects).  :meth:`Engine.solve
+        <busytime.engine.Engine.solve>` builds the :class:`Instance` from
+        rows once, before solving.
     objective:
         Name of the registered objective to minimise (see
         :mod:`busytime.core.objectives`): ``"busy_time"`` (the paper's
@@ -100,7 +105,7 @@ class SolveRequest:
         Free-form labels echoed into the report (experiment ids, file names).
     """
 
-    instance: Instance
+    instance: Union[Instance, InstanceRows]
     objective: str = "busy_time"
     cost_model: Optional[CostModel] = None
     algorithm: Optional[str] = None
@@ -130,7 +135,7 @@ class SolveRequest:
         (used when the caller supplies a scheduler callable out of band, as
         the experiment harness does).
         """
-        if not isinstance(self.instance, Instance):
+        if not isinstance(self.instance, (Instance, InstanceRows)):
             raise RequestValidationError(
                 f"instance must be a busytime Instance, got {type(self.instance).__name__}"
             )

@@ -182,7 +182,8 @@ class RollingHorizon(SimulationPolicy):
 
         ``None`` when the live set is empty or the engine solve raises: a
         replan without a verified proposal adopts nothing, the way a
-        poisoned race candidate loses only its own slot.
+        poisoned race candidate loses only its own slot.  A raising solve
+        is counted (``SimulationReport.failed_replans``).
         """
         live = sim.live_instance(name=f"{sim.name}@t={t:g}")
         if live.n == 0:
@@ -197,6 +198,7 @@ class RollingHorizon(SimulationPolicy):
             # feasible and its machine profiles agree with the oracle.
             return sim.engine.solve(request).schedule
         except Exception:  # noqa: BLE001 - a failed replan adopts nothing
+            sim.note_failed_replan()
             return None
 
     def replan(self, sim: "Simulator", t: float) -> int:
@@ -294,6 +296,7 @@ class SimulationReport:
     departures: int
     early_departures: int
     migrations: int
+    #: replans attempted (failed ones included)
     replans: int
     machines_opened: int
     #: integrated busy time actually accrued across machines (the objective)
@@ -305,6 +308,8 @@ class SimulationReport:
     oracle_checks: int
     wall_time_seconds: float
     tags: Dict[str, object] = field(default_factory=dict)
+    #: replans whose engine solve raised, so they adopted nothing
+    failed_replans: int = 0
 
     @property
     def gap_vs_offline(self) -> Optional[float]:
@@ -330,6 +335,7 @@ class SimulationReport:
             "early_departures": self.early_departures,
             "migrations": self.migrations,
             "replans": self.replans,
+            "failed_replans": self.failed_replans,
             "machines_opened": self.machines_opened,
             "realized_cost": self.realized_cost,
             "offline_cost": self.offline_cost,
@@ -416,6 +422,7 @@ class Simulator:
         self._clock = self._start_time
         self._migrations = 0
         self._replans = 0
+        self._failed_replans = 0
         self._oracle_checks = 0
         self._early_departures = 0
         self._arrivals = 0
@@ -601,6 +608,14 @@ class Simulator:
         self._migrations += 1
         return True
 
+    def note_failed_replan(self) -> None:
+        """Count a replan whose proposal could not be computed.
+
+        Policies call this when their engine solve raises; the replan still
+        counts in ``replans`` (an attempt) and adopts nothing.
+        """
+        self._failed_replans += 1
+
     # -- oracle ---------------------------------------------------------------
 
     def _oracle_check(self) -> None:
@@ -723,6 +738,7 @@ class Simulator:
             early_departures=self._early_departures,
             migrations=self._migrations,
             replans=self._replans,
+            failed_replans=self._failed_replans,
             machines_opened=self.builder.num_machines,
             realized_cost=self._cost,
             offline_cost=offline_cost,

@@ -122,10 +122,15 @@ _DEFAULT_RACE_WIDTH = 4
 
 
 def _request_from_document(doc: Mapping[str, object]) -> SolveRequest:
-    """Build a :class:`SolveRequest` from a ``POST /solve`` body."""
+    """Build a :class:`SolveRequest` from a ``POST /solve`` body.
+
+    The request's instance is the document's flat, validated
+    :class:`~busytime.core.instance.InstanceRows`: the service fingerprints
+    and answers cache hits from them without building job objects.
+    """
     if not isinstance(doc, Mapping) or "instance" not in doc:
         raise ValueError('body must be a JSON object with an "instance" field')
-    instance = bio.instance_from_dict(doc["instance"])
+    instance = bio.instance_rows_from_dict(doc["instance"])
     options = doc.get("options") or {}
     if not isinstance(options, Mapping):
         raise ValueError('"options" must be a JSON object')
@@ -281,8 +286,7 @@ class _ServiceHandler(JsonRequestHandler):
         service = self.server.service
         payload: Dict[str, object] = service.poll(job_id)
         if include_report and payload["status"] == "done":
-            report = service.result(job_id)
-            payload["report"] = bio.solve_report_to_dict(report)
+            payload["report"] = service.report_document(job_id)
         return payload
 
     # -- endpoints ------------------------------------------------------------
@@ -340,7 +344,10 @@ class _ServiceHandler(JsonRequestHandler):
             self._send_error_json(400, str(exc))
             return
         report = None
-        if doc.get("wait"):
+        if doc.get("wait") and self._unfinished(job_id):
+            # A miss (or an attach to an in-flight one) waits in result(),
+            # where the batch worker's solve lands; a store hit finished
+            # inside submit and is answered from its rows below.
             try:
                 report = service.result(job_id, timeout=self.server.wait_timeout)
             except TimeoutError:
@@ -359,6 +366,12 @@ class _ServiceHandler(JsonRequestHandler):
         if report is not None:
             payload["report"] = bio.solve_report_to_dict(report)
         self._send_json(200, payload)
+
+    def _unfinished(self, job_id: str) -> bool:
+        try:
+            return self.server.service.poll(job_id)["status"] in ("queued", "running")
+        except KeyError:  # finished and already pruned
+            return False
 
     # -- streaming sessions ---------------------------------------------------
 
@@ -450,6 +463,9 @@ class _ServiceHandler(JsonRequestHandler):
             self._send_error_json(404, f"unknown session id: {exc.args[0]}")
         except SessionValidationError as exc:
             self._send_error_json(400, str(exc))
+        except Exception as exc:  # noqa: BLE001 - answered, not a dropped connection
+            self.log_error("%s", traceback.format_exc())
+            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 
     def _do_warm(self) -> None:
         """``POST /warm``: pre-load disk-tier shard prefixes into memory."""

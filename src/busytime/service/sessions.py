@@ -374,6 +374,7 @@ class Session:
                 "realized_cost": self.sim.realized_cost_so_far(),
                 "migrations": self.sim._migrations,
                 "replans": self.sim._replans,
+                "failed_replans": self.sim._failed_replans,
                 "closed": self.closed,
             }
 
@@ -409,13 +410,31 @@ class Session:
 
     @classmethod
     def from_checkpoint(cls, doc: Mapping[str, object], engine=None) -> "Session":
-        """Rebuild a session by replaying its checkpointed event log."""
-        if doc.get("format") != _CHECKPOINT_FORMAT:
+        """Rebuild a session by replaying its checkpointed event log.
+
+        A document that does not replay — not a checkpoint, another
+        version, no ``config``, an event row that is not an object — is
+        refused with :class:`SessionValidationError` naming the session.
+        """
+        if not isinstance(doc, Mapping) or doc.get("format") != _CHECKPOINT_FORMAT:
             raise SessionValidationError("not a session checkpoint document")
         if doc.get("version") != _CHECKPOINT_VERSION:
             raise SessionValidationError(
                 f"unsupported session checkpoint version {doc.get('version')!r}"
             )
+        try:
+            return cls._replay(doc, engine)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # SessionValidationError is a ValueError: a refused event row
+            # or an inconsistent offset lands here too.
+            reason = str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+            raise SessionValidationError(
+                f"checkpoint of session {doc.get('session_id')!r} does not replay: "
+                f"{reason}"
+            ) from None
+
+    @classmethod
+    def _replay(cls, doc: Mapping[str, object], engine) -> "Session":
         config = SessionConfig.from_dict(doc["config"])  # type: ignore[arg-type]
         session = cls(str(doc["session_id"]), config, engine=engine)
         rows = doc.get("events", [])
@@ -452,6 +471,7 @@ class Session:
                 "early_departures": report.early_departures,
                 "migrations": report.migrations,
                 "replans": report.replans,
+                "failed_replans": report.failed_replans,
                 "machines_opened": report.machines_opened,
                 "realized_cost": report.realized_cost,
                 "oracle_checks": report.oracle_checks,
@@ -642,10 +662,15 @@ class SessionManager:
             session = self._sessions.get(session_id)
         if session is not None:
             doc = self.store.get_document(self._checkpoint_key(session_id))
-            stale = doc is not None and (
-                int(doc.get("applied", 0)) > session.applied
-                or (bool(doc.get("closed")) and not session.closed)
-            )
+            try:
+                stale = doc is not None and (
+                    int(doc.get("applied", 0)) > session.applied
+                    or (bool(doc.get("closed")) and not session.closed)
+                )
+            except (AttributeError, TypeError, ValueError):
+                # A damaged checkpoint cannot be ahead of the live copy;
+                # the next batch's checkpoint overwrites it.
+                stale = False
             if not stale:
                 return session
             fresh = Session.from_checkpoint(doc, engine=self.engine)

@@ -257,6 +257,8 @@ def test_session_replan_with_the_liar_adopts_nothing():
     assert final["replans"] == offline.replans
     assert final["migrations"] == 0
     assert final["realized_cost"] == offline.realized_cost
+    # Every replan failed, and the counts say so.
+    assert final["failed_replans"] == final["replans"] == offline.failed_replans > 0
 
 
 def _overload_entry(machines):

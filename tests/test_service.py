@@ -307,6 +307,39 @@ class TestResultStore:
         assert (stats["hits"], stats["misses"], stats["puts"]) == (1, 1, 1)
         assert stats["hit_rate"] == 0.5
 
+    def test_disk_entries_are_written_on_one_line(self, tmp_path):
+        store = ResultStore(directory=tmp_path)
+        fp, report = _canonical_report_for(dyadic_instance(random.Random(9), 12, g=2))
+        store.put(fp, report)
+        store.put_document("session-1", {"events": [{"time": 1.0}] * 3, "applied": 3})
+        for path in (store._disk_path(fp), store._document_path("session-1")):
+            text = path.read_text()
+            assert "\n" not in text and ", " not in text and ": " not in text
+        assert bio.solve_report_to_dict(store.get(fp), include_timings=False) == json.loads(
+            store._disk_path(fp).read_text()
+        )
+
+    def test_indented_entries_still_load(self, tmp_path):
+        """Entries an earlier writer left indented load through every reader."""
+        fp, report = _canonical_report_for(dyadic_instance(random.Random(10), 12, g=2))
+        doc = bio.solve_report_to_dict(report, include_timings=False)
+        writer = ResultStore(directory=tmp_path)
+        path = writer._disk_path(fp)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc, indent=2))
+        checkpoint = {"format": "x", "applied": 2, "events": [{"time": 0.5}]}
+        doc_path = writer._document_path("old-session")
+        doc_path.parent.mkdir(parents=True, exist_ok=True)
+        doc_path.write_text(json.dumps(checkpoint, indent=2))
+
+        reader = ResultStore(directory=tmp_path)
+        loaded = reader.get(fp)
+        assert loaded is not None and reader.stats()["disk_hits"] == 1
+        assert bio.solve_report_to_dict(loaded, include_timings=False) == doc
+        warmer = ResultStore(directory=tmp_path)
+        assert warmer.warm([fp[:2]]) == 1 and fp in warmer
+        assert reader.get_document("old-session") == checkpoint
+
     def test_lru_evicts_least_recently_used(self):
         store = ResultStore(capacity=2)
         entries = [

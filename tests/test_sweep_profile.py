@@ -631,3 +631,21 @@ def test_from_intervals_and_copy_parity(jobs):
     # Mutating the copy leaves the original untouched.
     snapshot.add(0.0, 5.0)
     assert snapshot.load_at(1.0) == fast.load_at(1.0) + 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, BULK_FROM_INTERVALS_MIN - 1, BULK_FROM_INTERVALS_MIN, 150])
+def test_covered_measure_is_the_batch_profile_measure(n):
+    """``covered_measure`` of endpoint columns is, bit for bit and type
+    included, the measure ``from_intervals`` gives the same intervals."""
+    import random
+
+    rng = random.Random(n)
+    for trial in range(25):
+        ivs = []
+        for _ in range(n):
+            start = rng.uniform(-7.0, 7.0)
+            length = 0.0 if trial % 5 == 0 or rng.random() < 0.2 else rng.uniform(0.0, 3.0)
+            ivs.append(Interval(start, start + length))
+        expected = SweepProfile.from_intervals(ivs).measure
+        got = events_module.covered_measure([iv.start for iv in ivs], [iv.end for iv in ivs])
+        assert (type(got), repr(got)) == (type(expected), repr(expected))
