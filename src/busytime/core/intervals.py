@@ -37,6 +37,8 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 __all__ = [
     "Interval",
     "Job",
+    "check_interval_fields",
+    "check_job_fields",
     "length",
     "total_length",
     "total_demand_length",
@@ -51,6 +53,61 @@ __all__ = [
     "point_demand",
     "max_point_demand",
 ]
+
+
+def check_interval_fields(start: float, end: float) -> None:
+    """Refuse what :class:`Interval` refuses: a NaN endpoint, or ``end < start``.
+
+    The one copy of the rule: ``Interval`` runs it on construction and the
+    instance-document parser (:func:`busytime.io.instance_rows_from_dict`)
+    runs it on each job row without building the object.
+    """
+    if math.isnan(start) or math.isnan(end):
+        raise ValueError("interval endpoints must not be NaN")
+    if end < start:
+        raise ValueError(f"interval end ({end}) must not precede start ({start})")
+
+
+def check_job_fields(
+    start: float,
+    end: float,
+    weight: float,
+    demand: int,
+    release: Optional[float],
+    deadline: Optional[float],
+) -> None:
+    """Refuse what :class:`Job` refuses of a job placed at ``[start, end]``.
+
+    A non-positive weight, a demand that is not an integer ``>= 1``, and a
+    NaN window bound or one that does not contain ``[start, end]``, checked
+    in that order.  The endpoints themselves are
+    :func:`check_interval_fields`' business.  Like that function, this is
+    the one copy of the rules, shared by ``Job`` and the row parser.
+    """
+    if weight <= 0:
+        raise ValueError("job weight must be positive")
+    if isinstance(demand, bool) or not isinstance(demand, int):
+        raise ValueError(
+            f"job demand must be an integer (capacity units), got {demand!r}"
+        )
+    if demand < 1:
+        raise ValueError(f"job demand must be >= 1, got {demand}")
+    if release is not None:
+        if math.isnan(release):
+            raise ValueError("job release must not be NaN")
+        if release > start:
+            raise ValueError(
+                f"job release ({release}) must not exceed the placed "
+                f"start ({start})"
+            )
+    if deadline is not None:
+        if math.isnan(deadline):
+            raise ValueError("job deadline must not be NaN")
+        if deadline < end:
+            raise ValueError(
+                f"job deadline ({deadline}) must not precede the "
+                f"placed end ({end})"
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -73,12 +130,7 @@ class Interval:
     end: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.start) or math.isnan(self.end):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.end < self.start:
-            raise ValueError(
-                f"interval end ({self.end}) must not precede start ({self.start})"
-            )
+        check_interval_fields(self.start, self.end)
 
     @property
     def length(self) -> float:
@@ -186,31 +238,14 @@ class Job:
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("job weight must be positive")
-        if isinstance(self.demand, bool) or not isinstance(self.demand, int):
-            raise ValueError(
-                f"job demand must be an integer (capacity units), got "
-                f"{self.demand!r}"
-            )
-        if self.demand < 1:
-            raise ValueError(f"job demand must be >= 1, got {self.demand}")
-        if self.release is not None:
-            if math.isnan(self.release):
-                raise ValueError("job release must not be NaN")
-            if self.release > self.interval.start:
-                raise ValueError(
-                    f"job release ({self.release}) must not exceed the placed "
-                    f"start ({self.interval.start})"
-                )
-        if self.deadline is not None:
-            if math.isnan(self.deadline):
-                raise ValueError("job deadline must not be NaN")
-            if self.deadline < self.interval.end:
-                raise ValueError(
-                    f"job deadline ({self.deadline}) must not precede the "
-                    f"placed end ({self.interval.end})"
-                )
+        check_job_fields(
+            self.interval.start,
+            self.interval.end,
+            self.weight,
+            self.demand,
+            self.release,
+            self.deadline,
+        )
 
     @property
     def start(self) -> float:
