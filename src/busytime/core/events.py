@@ -26,9 +26,10 @@ consumed:
 Closed-interval semantics are used throughout: at a coordinate where one job
 ends and another starts, both are considered active (start events are
 processed before end events), matching the conflict model of the paper.
-:func:`busytime.core.intervals.max_point_load` remains the independent
-slow-path oracle; :func:`busytime.core.schedule.verify_schedule` cross-checks
-every profile-derived answer against it.
+:func:`busytime.core.schedule.verify_schedule` recomputes peaks and spans
+with its own endpoint sweep over the raw columns and cross-checks every
+profile-derived answer against it; :func:`busytime.core.intervals.max_point_load`
+stays the brute-force reference of the property tests.
 """
 
 from __future__ import annotations

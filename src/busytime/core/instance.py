@@ -539,8 +539,12 @@ class InstanceRows:
         self._source: Optional[Instance] = None
 
     @classmethod
-    def from_instance(cls, instance: Instance) -> "InstanceRows":
-        """The columns of ``instance``; :meth:`to_instance` returns it as is."""
+    def from_instance(cls, instance: Instance, keep: bool = True) -> "InstanceRows":
+        """The columns of ``instance``; :meth:`to_instance` returns it as is.
+
+        With ``keep=False`` the rows hold no reference to ``instance``, so
+        they pin no job objects (the result store keeps rows like that).
+        """
         jobs = instance.jobs
         releases = deadlines = None
         if any(j.release is not None for j in jobs):
@@ -561,7 +565,8 @@ class InstanceRows:
             instance.site_capacity,
             instance.background,
         )
-        rows._source = instance
+        if keep:
+            rows._source = instance
         return rows
 
     def to_instance(self) -> Instance:

@@ -22,10 +22,11 @@ all algorithmic content lives in :mod:`busytime.algorithms`.
 
 The point-load helpers here (:func:`point_load`, :func:`max_point_load`,
 :func:`span`) recompute their answer from scratch on every call.  That is
-deliberate: they serve as the independent slow-path *oracle* against which
-the incrementally maintained :class:`busytime.core.events.SweepProfile`
+deliberate: they are the brute-force reference against which the
+incrementally maintained :class:`busytime.core.events.SweepProfile`
 machine state — the hot-path answer to the same questions — is
-cross-checked by ``verify_schedule`` and the property-based tests.
+cross-checked by the property-based tests.  ``verify_schedule`` runs the
+same closed-interval sweep on flat endpoint columns.
 """
 
 from __future__ import annotations
@@ -448,10 +449,9 @@ def max_point_demand(items: Sequence) -> int:
 
     The demand-weighted counterpart of :func:`max_point_load`, computed by
     the same closed-interval endpoint sweep (starts before ends at equal
-    coordinates); equal to it on unit-demand sets.  This is the *slow-path
-    oracle* for the demand-aware machine feasibility check —
-    ``verify_schedule`` cross-checks the maintained
-    :class:`busytime.core.events.SweepProfile` answers against it.
+    coordinates); equal to it on unit-demand sets.  The brute-force
+    reference for the demand-aware machine feasibility check, which
+    ``verify_schedule`` runs as the same sweep on endpoint columns.
     """
     events: List[Tuple[float, int, int]] = []
     for it in items:

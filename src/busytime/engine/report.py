@@ -12,10 +12,10 @@ them back from worker processes.  JSON round-tripping lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Mapping, Optional, Tuple, Union
 
-from ..core.schedule import Schedule
+from ..core.schedule import Schedule, ScheduleRows
 
 __all__ = ["ComponentDecision", "RaceCandidate", "RaceOutcome", "SolveReport"]
 
@@ -127,7 +127,11 @@ class SolveReport:
     Attributes
     ----------
     schedule:
-        The feasible schedule produced for the request's instance.
+        The feasible schedule produced for the request's instance.  The
+        engine returns :class:`Schedule` objects; the service's result
+        store keeps reports whose schedule is flat
+        :class:`~busytime.core.schedule.ScheduleRows` (see :meth:`flat`
+        and :meth:`with_objects`).
     algorithm:
         Overall producing algorithm: a forced registry name, or ``"auto"``
         for policy-dispatched solves.
@@ -173,7 +177,7 @@ class SolveReport:
         The request's free-form labels, echoed back.
     """
 
-    schedule: Schedule
+    schedule: Union[Schedule, ScheduleRows]
     algorithm: str
     policy: str
     portfolio: bool
@@ -187,6 +191,22 @@ class SolveReport:
     objective_value: Optional[float] = None
     timings: Mapping[str, float] = field(default_factory=dict)
     tags: Mapping[str, object] = field(default_factory=dict)
+
+    # -- representation ------------------------------------------------------
+
+    def flat(self) -> "SolveReport":
+        """This report with its schedule as :class:`ScheduleRows` (no job
+        objects); the report itself when it already is."""
+        if isinstance(self.schedule, ScheduleRows):
+            return self
+        return replace(self, schedule=ScheduleRows.from_schedule(self.schedule))
+
+    def with_objects(self) -> "SolveReport":
+        """This report with its schedule as :class:`Schedule` objects; the
+        report itself when it already is.  Flat rows are not re-checked."""
+        if isinstance(self.schedule, Schedule):
+            return self
+        return replace(self, schedule=self.schedule.to_schedule())
 
     # -- derived -------------------------------------------------------------
 

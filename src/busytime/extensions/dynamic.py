@@ -622,7 +622,7 @@ class Simulator:
         """Freeze the live sub-schedule and run the slow-path oracle on it.
 
         ``verify_schedule`` re-derives feasibility and busy time from the
-        raw job lists and raises ``ProfileOracleMismatchError`` if any
+        raw job intervals and raises ``ProfileOracleMismatchError`` if any
         maintained profile drifted from the truth — the cross-check the
         whole mutation path answers to.
         """

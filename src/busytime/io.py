@@ -37,6 +37,13 @@ from its nominal one (window-aware algorithms slide jobs).  Loaders re-place
 those jobs through :meth:`~busytime.core.intervals.Job.placed_at`, which
 re-validates window containment and length preservation.
 
+Schedule and report documents parse into flat columns first
+(:func:`schedule_rows_from_dict`, :func:`solve_report_rows_from_dict`:
+:class:`~busytime.core.schedule.ScheduleRows`, no job objects), which
+:func:`~busytime.core.schedule.verify_schedule` checks once;
+:func:`schedule_from_dict` and :func:`solve_report_from_dict` then build
+the objects.  The service's result store stops at the checked columns.
+
 ``Schedule`` JSON adds the machine partition (job ids per machine) and the
 producing algorithm; ``Traffic`` JSON stores the path length, the grooming
 factor and the lightpath endpoint pairs.  CSV files have a header row
@@ -78,12 +85,12 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core.events import ARRIVE, DEPART, DynamicTrace, TraceEvent
 from .core.instance import Instance, InstanceRows, as_rows, check_instance_fields
 from .core.intervals import Interval, Job, check_interval_fields, check_job_fields
-from .core.schedule import Machine, Schedule
+from .core.schedule import Schedule, ScheduleRows, as_schedule_rows, verify_schedule
 from .engine.report import ComponentDecision, RaceCandidate, RaceOutcome, SolveReport
 from .optical.lightpath import Lightpath, Traffic
 from .pricing.series import BackgroundLoad
@@ -96,10 +103,12 @@ __all__ = [
     "save_instance",
     "load_instance",
     "schedule_to_dict",
+    "schedule_rows_from_dict",
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
     "solve_report_to_dict",
+    "solve_report_rows_from_dict",
     "solve_report_from_dict",
     "save_solve_report",
     "load_solve_report",
@@ -197,6 +206,24 @@ def _demand_from_field(value: object) -> int:
     return int(number)
 
 
+def _not_finite(name: str, value: object) -> ValueError:
+    return ValueError(f"{name} must be a finite integer, got {value!r}")
+
+
+def _int_field(value: object, name: str) -> int:
+    """``int(value)``, refusing an infinite float with a ``ValueError``.
+
+    ``json.loads`` reads ``1e400`` as infinity, and ``int()`` of it raises
+    ``OverflowError``, which callers that map ``ValueError`` to a refusal
+    (the HTTP frontend's 400, the result store's miss) would not catch.
+    ``name`` says which field it was.
+    """
+    try:
+        return int(value)  # type: ignore[call-overload]
+    except OverflowError:
+        raise _not_finite(name, value) from None
+
+
 def instance_to_dict(instance: Union[Instance, InstanceRows]) -> Dict[str, object]:
     """A JSON-serialisable dict describing the instance (or its rows).
 
@@ -266,6 +293,8 @@ def instance_rows_from_dict(data: Mapping[str, object]) -> InstanceRows:
             end = float(row["end"])
         except KeyError as exc:
             raise ValueError(f'job row {position} has no "{exc.args[0]}"') from None
+        except OverflowError:
+            raise _not_finite(f'job row {position} "id"', row["id"]) from None
         check_interval_fields(start, end)
         get = row.get
         weight = float(get("weight", 1.0))
@@ -294,11 +323,11 @@ def instance_rows_from_dict(data: Mapping[str, object]) -> InstanceRows:
             releases.append(release)
         if deadlines is not None:
             deadlines.append(deadline)
-    g = int(data["g"])  # type: ignore[call-overload]
+    g = _int_field(data["g"], '"g"')
     name = str(data.get("name", ""))
     site_capacity = data.get("site_capacity")
     if site_capacity is not None:
-        site_capacity = int(site_capacity)  # type: ignore[call-overload]
+        site_capacity = _int_field(site_capacity, '"site_capacity"')
     background = data.get("background")
     if background is not None:
         background = BackgroundLoad.from_dict(background)  # type: ignore[arg-type]
@@ -331,27 +360,31 @@ def load_instance(path: _PathLike) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def schedule_to_dict(schedule: Schedule) -> Dict[str, object]:
+def schedule_to_dict(schedule: Union[Schedule, ScheduleRows]) -> Dict[str, object]:
     """A JSON-serialisable dict: the instance plus the machine partition.
 
-    Version-3 documents (emitted only for flex instances) additionally
-    carry the ``placements`` table: the placed interval of every scheduled
-    job that was slid away from its nominal position.
+    Written from the schedule's columns (a :class:`Schedule` is read into
+    :class:`~busytime.core.schedule.ScheduleRows` first).  Version-3
+    documents (emitted only for flex instances) additionally carry the
+    ``placements`` table: the placed interval of every scheduled job that
+    was slid away from its nominal position.
     """
-    nominal = {j.id: j.interval for j in schedule.instance.jobs}
-    placements = [
-        {"id": j.id, "start": j.start, "end": j.end}
-        for m in schedule.machines
-        for j in m.jobs
-        if j.interval != nominal[j.id]
-    ]
+    rows = as_schedule_rows(schedule)
+    placements: List[Dict[str, object]] = []
+    if rows.placements:
+        positions, starts, ends, _ = rows.slot_columns()
+        nominal_starts, nominal_ends = rows.instance.starts, rows.instance.ends
+        for job_id, p, start, end in zip(rows.job_ids, positions, starts, ends):
+            if p is not None and (start != nominal_starts[p] or end != nominal_ends[p]):
+                placements.append({"id": job_id, "start": start, "end": end})
+    job_ids, bounds = rows.job_ids, rows.bounds
     return schedule_document(
-        schedule.algorithm,
-        schedule.total_busy_time,
-        instance_to_dict(schedule.instance),
+        rows.algorithm,
+        rows.total_busy_time,
+        instance_to_dict(rows.instance),
         [
-            {"index": m.index, "job_ids": [j.id for j in m.jobs]}
-            for m in schedule.machines
+            {"index": index, "job_ids": job_ids[lo:hi]}
+            for index, lo, hi in zip(rows.indices, bounds, bounds[1:])
         ],
         placements,
     )
@@ -383,37 +416,75 @@ def schedule_document(
     return doc
 
 
+def schedule_rows_from_dict(data: Mapping[str, object]) -> ScheduleRows:
+    """Parse a ``busytime-schedule`` document into unchecked :class:`ScheduleRows`.
+
+    The one schedule parser.  The instance goes through
+    :func:`instance_rows_from_dict`; a placement that changed its job's
+    length fails loudly, and one of a windowed job is re-placed through
+    :meth:`~busytime.core.intervals.Job.placed_at` (so it fails outside the
+    window, and a start within tolerance of a window edge is clamped to
+    it); then each machine's ``job_ids`` and ``index`` are read.
+    Feasibility is :func:`~busytime.core.schedule.verify_schedule`'s
+    business, and the document's ``total_busy_time`` is kept as the
+    stated cost it checks.
+    """
+    _check_header(data, "busytime-schedule")
+    rows = instance_rows_from_dict(data["instance"])  # type: ignore[arg-type]
+    position: Optional[Dict[int, int]] = None
+    placements: Dict[int, Tuple[float, float]] = {}
+    for k, row in enumerate(data.get("placements", ())):  # type: ignore[arg-type]
+        if position is None:
+            position = dict(zip(rows.ids, range(rows.n)))
+        job_id = _int_field(row["id"], f'placement row {k} "id"')
+        p = position[job_id]
+        start, end = float(row["start"]), float(row["end"])
+        length = rows.ends[p] - rows.starts[p]
+        if abs((end - start) - length) > 1e-9 * max(1.0, abs(length)):
+            raise ValueError(
+                f"placement of job {job_id} has length {end - start!r} but the "
+                f"job runs for {length!r}"
+            )
+        if rows.window(p) is None:
+            # A fixed job has one placement; the oracle refuses any other.
+            placements[job_id] = (start, end)
+            continue
+        placed = rows.job(p).placed_at(start)
+        placements[job_id] = (placed.start, placed.end)
+    indices: List[int] = []
+    bounds = [0]
+    job_ids: List[int] = []
+    for k, row in enumerate(data["machines"]):  # type: ignore[arg-type]
+        ids = row["job_ids"]
+        try:
+            ids = list(map(int, ids))
+        except OverflowError:
+            ids = [_int_field(v, f'machine row {k} "job_ids"') for v in ids]
+        job_ids += ids
+        bounds.append(len(job_ids))
+        indices.append(_int_field(row["index"], f'machine row {k} "index"'))
+    stated = data.get("total_busy_time")
+    return ScheduleRows(
+        rows,
+        indices,
+        bounds,
+        job_ids,
+        placements,
+        algorithm=str(data.get("algorithm", "")),
+        total_busy_time=None if stated is None else float(stated),  # type: ignore[arg-type]
+    )
+
+
 def schedule_from_dict(data: Mapping[str, object]) -> Schedule:
     """Rebuild (and re-validate) a :class:`Schedule`.
 
-    Placed jobs are rebuilt through
-    :meth:`~busytime.core.intervals.Job.placed_at`, so a placement outside
-    its job's window — or one that changed the length — fails loudly.
+    Parses through :func:`schedule_rows_from_dict`, runs
+    :func:`~busytime.core.schedule.verify_schedule` once on the columns,
+    then builds the objects.
     """
-    _check_header(data, "busytime-schedule")
-    instance = instance_from_dict(data["instance"])  # type: ignore[arg-type]
-    by_id = {j.id: j for j in instance.jobs}
-    placed = dict(by_id)
-    for row in data.get("placements", ()):  # type: ignore[union-attr]
-        job = by_id[int(row["id"])]
-        start, end = float(row["start"]), float(row["end"])
-        if abs((end - start) - job.length) > 1e-9 * max(1.0, abs(job.length)):
-            raise ValueError(
-                f"placement of job {job.id} has length {end - start!r} but the "
-                f"job runs for {job.length!r}"
-            )
-        placed[job.id] = job.placed_at(start)
-    machines = []
-    for row in data["machines"]:  # type: ignore[index]
-        jobs = tuple(placed[int(job_id)] for job_id in row["job_ids"])
-        machines.append(Machine(index=int(row["index"]), jobs=jobs))
-    schedule = Schedule(
-        instance=instance,
-        machines=tuple(machines),
-        algorithm=str(data.get("algorithm", "")),
-    )
-    schedule.validate()
-    return schedule
+    rows = schedule_rows_from_dict(data)
+    verify_schedule(rows)
+    return rows.to_schedule()
 
 
 def save_schedule(schedule: Schedule, path: _PathLike) -> None:
@@ -508,10 +579,17 @@ def _race_outcome_from_dict(data: Mapping[str, object]) -> RaceOutcome:
     )
 
 
-def solve_report_from_dict(data: Mapping[str, object]) -> SolveReport:
-    """Rebuild a :class:`~busytime.engine.SolveReport` (re-validating its schedule)."""
+def solve_report_rows_from_dict(data: Mapping[str, object]) -> SolveReport:
+    """Parse a report document into a :class:`~busytime.engine.SolveReport`
+    whose schedule is unchecked :class:`~busytime.core.schedule.ScheduleRows`.
+
+    The schedule goes through :func:`schedule_rows_from_dict`; run
+    :func:`~busytime.core.schedule.verify_schedule` on it before trusting
+    it (the result store's disk reads and :func:`solve_report_from_dict`
+    do).
+    """
     _check_header(data, "busytime-solve-report")
-    schedule = schedule_from_dict(data["schedule"])  # type: ignore[arg-type]
+    schedule = schedule_rows_from_dict(data["schedule"])  # type: ignore[arg-type]
     components = tuple(
         ComponentDecision(
             component=str(row["component"]),
@@ -528,7 +606,7 @@ def solve_report_from_dict(data: Mapping[str, object]) -> SolveReport:
     proven = data.get("proven_ratio")
     objective_value = data.get("objective_value")
     return SolveReport(
-        schedule=schedule,
+        schedule=schedule,  # type: ignore[arg-type]
         algorithm=str(data.get("algorithm", "")),
         policy=str(data.get("policy", "")),
         portfolio=bool(data.get("portfolio", False)),
@@ -549,6 +627,18 @@ def solve_report_from_dict(data: Mapping[str, object]) -> SolveReport:
         timings=dict(data.get("timings", {})),  # type: ignore[arg-type]
         tags=dict(data.get("tags", {})),  # type: ignore[arg-type]
     )
+
+
+def solve_report_from_dict(data: Mapping[str, object]) -> SolveReport:
+    """Rebuild a :class:`~busytime.engine.SolveReport` (re-validating its schedule).
+
+    :func:`solve_report_rows_from_dict`, one
+    :func:`~busytime.core.schedule.verify_schedule` pass on the columns,
+    then the objects.
+    """
+    report = solve_report_rows_from_dict(data)
+    verify_schedule(report.schedule)
+    return report.with_objects()
 
 
 def save_solve_report(

@@ -33,21 +33,22 @@ already differ before canonicalization sees them.)
 Both steps run on flat columns: :func:`canonicalize` takes an
 :class:`~busytime.core.instance.Instance` or the
 :class:`~busytime.core.instance.InstanceRows` a parsed document already is,
-and the fingerprint hashes the float columns as IEEE-754 bytes.  A cache
-hit therefore never builds a job object: :func:`decanonicalized_rows`
-maps (and so checks) the cached answer onto the caller's rows when the job
-finishes, and :func:`decanonicalized_document` writes the reply straight
-from the cached canonical report and those rows.
+and the fingerprint hashes the float columns as IEEE-754 bytes.  The
+result store keeps canonical reports flat too (a report whose schedule is
+:class:`~busytime.core.schedule.ScheduleRows`), so a cache hit never builds
+a job object: :func:`decanonicalized_rows` maps (and so checks) the cached
+answer onto the caller's rows once, when the job finishes, into one array
+of row positions, and :func:`decanonicalized_document` writes the reply
+from that array, the cached report and the rows.
 
-:func:`decanonicalize_report` is the inverse step the result store needs:
-it maps a report solved on the canonical instance back onto the caller's
-original instance — original job objects, original ids, original time
-axis.  The mapping is checked exactly (bijection onto the original job
-set, bit-equal translated intervals), which makes the rebuilt schedule
-feasible *by construction* given that the canonical schedule was verified
-when it reached the service (``Engine.solve`` verifies what it returns;
-disk loads re-verify in ``schedule_from_dict``).  It runs no oracle pass
-of its own.
+:func:`decanonicalize_report` is the inverse step with objects: it maps a
+report solved on the canonical instance back onto the caller's original
+instance — original job objects, original ids, original time axis.  The
+mapping is checked exactly (bijection onto the original job set, bit-equal
+translated intervals), which makes the rebuilt schedule feasible *by
+construction* given that the canonical schedule was verified when it
+reached the service (``Engine.solve`` verifies what it returns; the store
+runs the oracle on every disk read).  It runs no oracle pass of its own.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ import json
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .. import io as bio
 from ..core.events import covered_measure
 from ..core.instance import Instance, InstanceRows, as_rows
 from ..core.intervals import Interval, Job
-from ..core.schedule import Machine, Schedule
+from ..core.schedule import Machine, Schedule, as_schedule_rows
 from ..engine.report import SolveReport
 from ..engine.request import SolveRequest
 
@@ -74,6 +75,7 @@ __all__ = [
     "request_fingerprint",
     "decanonicalize_report",
     "CanonicalMap",
+    "Mapped",
     "decanonicalized_rows",
     "decanonicalized_document",
 ]
@@ -420,58 +422,82 @@ def _mismatch(rows: InstanceRows, position: int, k: int, offset: float) -> Value
     )
 
 
+#: Where each canonical job lands among the caller's rows (one position
+#: per scheduled job, in the canonical schedule's machine order; the
+#: machine bounds are the canonical schedule's), and the caller-axis
+#: ``(start, end)`` of each windowed job the canonical solve slid, by
+#: position (``None`` when none was).
+Mapped = Tuple[array, Optional[Dict[int, Tuple[float, float]]]]
+
+
 def decanonicalized_rows(
     report: SolveReport, rows: InstanceRows, mapping: Union[CanonicalForm, CanonicalMap]
-) -> List[Tuple[int, List[int], Optional[Dict[int, Job]]]]:
-    """The canonical machines mapped onto the caller's rows, checked exactly.
+) -> Mapped:
+    """The canonical schedule mapped onto the caller's rows, checked exactly.
 
-    One ``(machine index, row positions, placed jobs)`` triple per machine;
-    ``placed jobs`` maps the position of each windowed job the canonical
-    solve slid to its :meth:`Job.placed_at` copy on the caller's time axis
-    (``None`` when the machine has none).  Canonical job ``k`` must be the
-    caller's job ``id_map[k]`` translated by ``offset``, bit for bit (or a
-    placement inside its window), and every job must be scheduled: anything
-    else raises ``ValueError`` (``KeyError``/``IndexError`` for an id the
-    map does not know).
+    Canonical job ``k`` must be the caller's job ``id_map[k]`` translated
+    by ``offset``, bit for bit, with the same demand (or, for a windowed
+    job, a placement inside its window, re-placed through
+    :meth:`Job.placed_at` on the caller's time axis), and every job must be
+    scheduled: anything else raises ``ValueError`` (``KeyError`` or
+    ``IndexError`` for an id the map does not know).  ``report`` may be
+    flat or carry :class:`Schedule` objects.
+
+    Column by column: when every job sits at its translated interval the
+    check is a few list comparisons; otherwise each job is checked in
+    machine order, so the first fault is the one reported.
     """
+    schedule = as_schedule_rows(report.schedule)
     id_map, offset = mapping.id_map, mapping.offset
     position = dict(zip(rows.ids, range(rows.n)))
-    starts, ends, demands = rows.starts, rows.ends, rows.demands
+    canonical_ids = schedule.job_ids
+    _, c_starts, c_ends, c_demands = schedule.slot_columns()
+    try:
+        caller = list(map(position.__getitem__, id_map))
+        positions = list(map(caller.__getitem__, canonical_ids))
+    except (KeyError, IndexError, TypeError):
+        positions = None
+    starts, ends = rows.starts, rows.ends
+    if (
+        positions is not None
+        and len(positions) == rows.n
+        and list(map(rows.demands.__getitem__, positions)) == c_demands
+        and [starts[p] - offset for p in positions] == c_starts
+        and [ends[p] - offset for p in positions] == c_ends
+    ):
+        return array("q", positions), None
+    mapped = array("q")
+    placed: Optional[Dict[int, Tuple[float, float]]] = None
     windowed = rows.releases is not None or rows.deadlines is not None
-    machines = []
-    seen = 0
-    for m in report.schedule.machines:
-        positions = []
-        placed: Optional[Dict[int, Job]] = None
-        for canonical_job in m.jobs:
-            k = canonical_job.id
-            p = position[id_map[k]]
-            interval = canonical_job.interval
-            if demands[p] != canonical_job.demand:
-                raise _mismatch(rows, p, k, offset)
-            if starts[p] - offset == interval.start and ends[p] - offset == interval.end:
-                positions.append(p)
-            elif windowed and rows.window(p) is not None:
-                # A window-aware canonical solve may have slid the job; map
-                # the placed interval back onto the original time axis.
-                # ``placed_at`` re-validates window containment, and the
-                # length is preserved by construction on both sides.
-                job = rows.job(p).placed_at(interval.start + offset)
-                if abs(job.length - interval.length) > 1e-9 * max(1.0, abs(job.length)):
-                    raise ValueError(
-                        f"canonical placement of job {job.id} changed its length"
-                    )
-                if placed is None:
-                    placed = {}
-                placed[p] = job
-                positions.append(p)
-            else:
-                raise _mismatch(rows, p, k, offset)
-        seen += len(positions)
-        machines.append((m.index, positions, placed))
-    if seen != rows.n:
-        raise ValueError(f"canonical schedule covers {seen} jobs, instance has {rows.n}")
-    return machines
+    demands = rows.demands
+    for slot, k in enumerate(canonical_ids):
+        p = position[id_map[k]]
+        start, end = c_starts[slot], c_ends[slot]
+        if demands[p] != c_demands[slot]:
+            raise _mismatch(rows, p, k, offset)
+        if starts[p] - offset == start and ends[p] - offset == end:
+            mapped.append(p)
+        elif windowed and rows.window(p) is not None:
+            # A window-aware canonical solve may have slid the job; map
+            # the placed interval back onto the original time axis.
+            # ``placed_at`` re-validates window containment, and the
+            # length is preserved by construction on both sides.
+            job = rows.job(p).placed_at(start + offset)
+            if abs(job.length - (end - start)) > 1e-9 * max(1.0, abs(job.length)):
+                raise ValueError(
+                    f"canonical placement of job {job.id} changed its length"
+                )
+            if placed is None:
+                placed = {}
+            placed[p] = (job.start, job.end)
+            mapped.append(p)
+        else:
+            raise _mismatch(rows, p, k, offset)
+    if len(mapped) != rows.n:
+        raise ValueError(
+            f"canonical schedule covers {len(mapped)} jobs, instance has {rows.n}"
+        )
+    return mapped, placed
 
 
 def decanonicalize_report(
@@ -490,29 +516,30 @@ def decanonicalize_report(
     raises instead of fabricating a schedule.  Under those checks the
     rebuilt schedule is feasible by construction whenever the canonical one
     was, so no oracle pass runs here.  ``original`` may be the caller's
-    rows; the :class:`Instance` is then built here.
+    rows, and ``report`` flat; the objects are built here.
 
     Costs, bounds and certificates are translation/relabeling invariant and
     carry over unchanged.
     """
     rows = as_rows(original)
-    machines = decanonicalized_rows(report, rows, form)
+    positions, placed = decanonicalized_rows(report, rows, form)
     instance = rows.to_instance()
-    jobs = instance.jobs
+    jobs = list(map(instance.jobs.__getitem__, positions))
+    if placed is not None:
+        for slot, p in enumerate(positions):
+            interval = placed.get(p)
+            if interval is not None:
+                jobs[slot] = replace(jobs[slot], interval=Interval(*interval))
+    canonical = as_schedule_rows(report.schedule)
+    bounds = canonical.bounds
     schedule = Schedule(
         instance=instance,
         machines=tuple(
-            Machine(
-                index=index,
-                jobs=tuple(
-                    jobs[p] if placed is None or p not in placed else placed[p]
-                    for p in positions
-                ),
-            )
-            for index, positions, placed in machines
+            Machine(index=index, jobs=tuple(jobs[lo:hi]))
+            for index, lo, hi in zip(canonical.indices, bounds, bounds[1:])
         ),
-        algorithm=report.schedule.algorithm,
-        meta=dict(report.schedule.meta),
+        algorithm=canonical.algorithm,
+        meta=dict(canonical.meta),
     )
     return replace(
         report,
@@ -524,43 +551,41 @@ def decanonicalize_report(
 def decanonicalized_document(
     report: SolveReport,
     rows: InstanceRows,
-    mapping: Union[CanonicalForm, CanonicalMap],
+    mapped: Mapped,
     tags: Mapping[str, object],
 ) -> Dict[str, object]:
-    """``solve_report_to_dict(decanonicalize_report(report, mapping, rows, tags))``
-    written straight from the rows.
+    """``solve_report_to_dict(decanonicalize_report(report, mapping, rows, tags))``,
+    written from the positions :func:`decanonicalized_rows` gave (``mapped``).
 
-    Partitions go through the id map, the instance echo comes from the
-    rows, and each machine's busy time is :func:`covered_measure` of its
-    jobs on the caller's own coordinates, the arithmetic
+    Partitions come from the positions, the instance echo from the rows,
+    and each machine's busy time is :func:`covered_measure` of its jobs on
+    the caller's own coordinates, the arithmetic
     ``SweepProfile.from_intervals`` uses, so the document is byte-equal to
-    the one the object path writes.  Only windowed jobs the canonical solve
-    slid are built as :class:`Job` objects (for ``placed_at``).
+    the one the object path writes.  No object is built.
     """
+    positions, placed = mapped
+    canonical = as_schedule_rows(report.schedule)
+    bounds = canonical.bounds
     ids, starts, ends = rows.ids, rows.starts, rows.ends
     machine_docs = []
     busy = []
     placements = []
-    for index, positions, placed in decanonicalized_rows(report, rows, mapping):
-        if placed is None:
-            m_starts = [starts[p] for p in positions]
-            m_ends = [ends[p] for p in positions]
-        else:
-            m_starts, m_ends = [], []
-            for p in positions:
-                job = placed.get(p)
-                if job is None:
-                    m_starts.append(starts[p])
-                    m_ends.append(ends[p])
+    for index, lo, hi in zip(canonical.indices, bounds, bounds[1:]):
+        here = positions[lo:hi]
+        m_starts = list(map(starts.__getitem__, here))
+        m_ends = list(map(ends.__getitem__, here))
+        if placed is not None:
+            for slot, p in enumerate(here):
+                interval = placed.get(p)
+                if interval is None:
                     continue
-                m_starts.append(job.start)
-                m_ends.append(job.end)
-                if (job.start, job.end) != (starts[p], ends[p]):
-                    placements.append({"id": job.id, "start": job.start, "end": job.end})
+                m_starts[slot], m_ends[slot] = interval
+                if interval != (starts[p], ends[p]):
+                    placements.append({"id": ids[p], "start": interval[0], "end": interval[1]})
         busy.append(covered_measure(m_starts, m_ends))
-        machine_docs.append({"index": index, "job_ids": [ids[p] for p in positions]})
+        machine_docs.append({"index": index, "job_ids": list(map(ids.__getitem__, here))})
     schedule = bio.schedule_document(
-        report.schedule.algorithm,
+        canonical.algorithm,
         # Schedule.total_busy_time is a plain sum() over the machines.
         sum(busy),
         bio.instance_to_dict(rows),
@@ -568,3 +593,4 @@ def decanonicalized_document(
         placements,
     )
     return bio.solve_report_document(report, schedule, tags)
+

@@ -31,13 +31,17 @@ server does not accumulate every report it ever produced.
 
 A finished job keeps the caller's instance as flat rows
 (:class:`~busytime.core.instance.InstanceRows`), the canonical id map and
-offset, and a reference to the canonical report the store holds — never
-job or schedule objects.  A request parsed from a document therefore
-travels from fingerprint to reply without any: a store hit finishes inside
-:meth:`submit` after a flat mapping check, and :meth:`report_document`
-writes its reply straight from the rows.  Objects are built only where
-they are needed: the engine solves the canonical instance of a miss, and
-:meth:`result` de-canonicalizes into a :class:`SolveReport` on every call.
+offset, the flat canonical report the store holds (its schedule is
+:class:`~busytime.core.schedule.ScheduleRows`) and where that report's
+jobs land among the caller's rows: one ``array`` of row positions, checked
+once when the job finishes — never job or schedule objects.  A request
+parsed from a document therefore travels from fingerprint to reply without
+any, whether the store answers from memory or decodes the entry from disk:
+a store hit finishes inside :meth:`submit` after the flat mapping check,
+and :meth:`report_document` writes its reply from the positions.  Objects
+are built only where they are needed: the engine solves the canonical
+instance of a miss, and :meth:`result` de-canonicalizes into a
+:class:`SolveReport` on every call.
 
 For deterministic tests the worker can be left unstarted
 (``start_worker=False``) and driven manually with :meth:`process_once`.
@@ -58,6 +62,7 @@ from ..core.instance import InstanceRows, as_rows
 from ..engine import Engine, SolveReport, SolveRequest
 from .canonical import (
     CanonicalMap,
+    Mapped,
     canonical_request,
     canonicalize,
     decanonicalize_report,
@@ -188,8 +193,10 @@ class _Job:
     """One caller-visible submission (several may share one flight).
 
     ``rows`` is the caller's instance, ``mapping`` the canonical id map and
-    offset, and ``report`` — once done — the *canonical* report, shared
-    with the store: what the answer is built from on demand.
+    offset, and — once done — ``report`` the flat *canonical* report,
+    shared with the store, and ``mapped`` where its jobs land among
+    ``rows`` (:func:`~busytime.service.canonical.decanonicalized_rows`):
+    what the answer is built from on demand.
     """
 
     job_id: str
@@ -201,6 +208,7 @@ class _Job:
     cached: bool = False
     deduped: bool = False
     report: Optional[SolveReport] = None
+    mapped: Optional[Mapped] = None
     error: Optional[str] = None
     done: threading.Event = field(default_factory=threading.Event)
 
@@ -338,9 +346,9 @@ class SolveService:
             if self._attach_if_inflight(job):
                 return job.job_id
 
-        # Cache lookup outside the lock: the disk tier re-validates the
-        # stored schedule, which must not serialize other submitters.  A
-        # hit finishes here, in submit: no waiter ever blocks on it.
+        # Cache lookup outside the lock: the disk tier runs the oracle on
+        # the stored schedule, which must not serialize other submitters.
+        # A hit finishes here, in submit: no waiter ever blocks on it.
         cached = self.store.get(fingerprint)
         if cached is not None:
             job.cached = True
@@ -442,13 +450,14 @@ class SolveService:
         """The finished job's ``busytime-solve-report`` document.
 
         Byte-equal to ``io.solve_report_to_dict(self.result(job_id))``, but
-        written straight from the cached canonical report and the caller's
-        rows: no job, machine or schedule object is built (see
+        written from the cached canonical report, the caller's rows and the
+        positions checked when the job finished: no job, machine or
+        schedule object is built, and the mapping is not redone (see
         :func:`~busytime.service.canonical.decanonicalized_document`).
         Raises like :meth:`result`, without waiting.
         """
         job = self._finished_job(job_id, timeout=0)
-        return decanonicalized_document(job.report, job.rows, job.mapping, job.tags)
+        return decanonicalized_document(job.report, job.rows, job.mapped, job.tags)
 
     def _finished_job(self, job_id: str, timeout: Optional[float]) -> _Job:
         """The job once done (see :meth:`result` for what it raises)."""
@@ -504,6 +513,9 @@ class SolveService:
         results = self._solve_batch(flights)
 
         for fp, report, error in results:
+            if report is not None:
+                # One flat copy serves the store and every waiting job.
+                report = report.flat()
             if report is not None and not report.budget_exhausted:
                 # A budget-exhausted report is the *degraded* answer for
                 # this moment's load (FirstFit fallback past the time
@@ -538,9 +550,11 @@ class SolveService:
 
         The check is the one de-canonicalization runs, on the flat rows, so
         a canonical report that does not map back onto the caller's jobs
-        fails the job here rather than when its answer is read."""
+        fails the job here rather than when its answer is read.  The job
+        keeps the checked positions, so its reply is written without
+        mapping again."""
         try:
-            decanonicalized_rows(canonical_report, job.rows, job.mapping)
+            mapped = decanonicalized_rows(canonical_report, job.rows, job.mapping)
         except Exception as exc:  # noqa: BLE001 - a mapping failure is a real answer
             self._fail_job(job, f"de-canonicalization failed: {exc}")
             return
@@ -548,6 +562,7 @@ class SolveService:
             if job.done.is_set():
                 return
             job.report = canonical_report
+            job.mapped = mapped
             job.status = DONE
             self._completed += 1
             self._prune_finished(job.job_id)

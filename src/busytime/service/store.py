@@ -1,22 +1,31 @@
 """Content-addressed result store: LRU memory tier over an optional disk tier.
 
 Keys are the :func:`~busytime.service.canonical.request_fingerprint` hex
-digests; values are :class:`~busytime.engine.report.SolveReport` objects
-solved on the *canonical* instance (de-canonicalization back onto a caller's
-instance happens above the store, in :class:`~busytime.service.SolveService`).
+digests; values are *flat* reports solved on the *canonical* instance: a
+:class:`~busytime.engine.report.SolveReport` whose schedule is
+:class:`~busytime.core.schedule.ScheduleRows` (columns, no job, machine or
+profile objects).  De-canonicalization back onto a caller's instance
+happens above the store, in :class:`~busytime.service.SolveService`, which
+maps the columns onto the caller's rows.
 
 Two tiers:
 
-* an in-memory LRU of ``capacity`` reports (frozen dataclasses, shared by
-  reference — safe because reports are immutable);
-* optionally, a directory of ``<fingerprint>.json`` documents written with
-  :func:`busytime.io.solve_report_to_dict` (``include_timings=False``, so
-  stored bytes are deterministic) as compact one-line JSON.  Memory
-  evictions never delete the disk copy; a later get repopulates the LRU
-  from disk.  Unreadable or
-  version-incompatible disk entries are treated as misses, never errors —
-  the store is a cache, and the io-layer version check keeps a newer
-  writer's documents from being half-read by an older reader.
+* an in-memory LRU of ``capacity`` flat reports, shared by reference with
+  the service's finished jobs (nothing mutates them).  :meth:`put` turns an
+  engine report into that form once, so a memory hit on a fresh solve
+  still carries the solve's ``timings`` and ``race``;
+* optionally, a directory of ``<fingerprint>.json`` documents written from
+  the flat report with :func:`busytime.io.solve_report_to_dict`
+  (``include_timings=False``, so stored bytes are deterministic) as compact
+  one-line JSON.  Memory evictions never delete the disk copy; a later get
+  repopulates the LRU from disk.  A disk read parses the document into the
+  flat form (:func:`busytime.io.solve_report_rows_from_dict`) and runs the
+  :func:`~busytime.core.schedule.verify_schedule` oracle on the columns
+  once: whoever can write the directory can write any schedule, so the
+  entry is checked, not trusted.  Unreadable, version-incompatible or
+  infeasible entries are treated as misses, never errors — the store is a
+  cache, and the io-layer version check keeps a newer writer's documents
+  from being half-read by an older reader.
 
 The disk tier is **shard-partitioned**: entries live under a subdirectory
 named by the first ``shard_depth`` hex characters of the fingerprint
@@ -62,8 +71,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..core.schedule import ProfileOracleMismatchError, verify_schedule
 from ..engine.report import SolveReport
-from ..io import _SUPPORTED_VERSIONS, solve_report_from_dict, solve_report_to_dict
+from ..io import _SUPPORTED_VERSIONS, solve_report_rows_from_dict, solve_report_to_dict
 
 __all__ = ["HistoryScan", "ResultStore"]
 
@@ -72,9 +82,14 @@ _PathLike = Union[str, Path]
 #: Why :meth:`ResultStore._load` found no usable report in an entry.
 _CORRUPT, _OTHER_VERSION = "corrupt", "version"
 
-#: What a malformed entry can raise while its report is rebuilt (a wrongly
-#: typed field, a missing key, an infeasible schedule).
-_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError)
+#: What a malformed entry can raise while its report is parsed and checked
+#: (a wrongly typed field, a missing key, an infinite number where an
+#: integer belongs, an infeasible schedule, a stated busy time its machines
+#: do not have).
+_DECODE_ERRORS = (
+    ValueError, KeyError, TypeError, AttributeError, IndexError, OverflowError,
+    ProfileOracleMismatchError,
+)
 
 #: Disk entries are written on one line: any ``indent`` makes ``json.dumps``
 #: fall back from its C encoder (a 70 KB report took 6.2 ms indented and
@@ -105,7 +120,7 @@ class HistoryScan:
 
 
 class ResultStore:
-    """Fingerprint-keyed cache of canonical solve reports.
+    """Fingerprint-keyed cache of canonical solve reports, kept flat.
 
     Parameters
     ----------
@@ -169,7 +184,7 @@ class ResultStore:
     # -- lookup ---------------------------------------------------------------
 
     def get(self, fingerprint: str) -> Optional[SolveReport]:
-        """The cached report for ``fingerprint``, or ``None`` on a miss."""
+        """The cached flat report for ``fingerprint``, or ``None`` on a miss."""
         with self._lock:
             report = self._memory.get(fingerprint)
             if report is not None:
@@ -207,10 +222,13 @@ class ResultStore:
     def put(self, fingerprint: str, report: SolveReport) -> None:
         """Store a canonical report under its fingerprint (both tiers).
 
-        The memory tier is updated first: a failing disk (full, unwritable
-        directory) still raises — callers count those — but never costs the
-        in-memory cache its entry.
+        The report is turned into its flat form once (a flat report is
+        kept as is); the memory tier holds that form and the disk document
+        is written from it.  The memory tier is updated first: a failing
+        disk (full, unwritable directory) still raises — callers count
+        those — but never costs the in-memory cache its entry.
         """
+        report = report.flat()
         with self._lock:
             self._puts += 1
             self._insert(fingerprint, report)
@@ -272,15 +290,16 @@ class ResultStore:
 
     @staticmethod
     def _load(path: Path, min_version: int = 1) -> Union[SolveReport, str]:
-        """The report stored at ``path``, or why there is none.
+        """The flat report stored at ``path``, or why there is none.
 
         The one reader of disk entries (:meth:`get`, :meth:`warm` and
-        :meth:`scan_history` all go through it).  Returns
+        :meth:`scan_history` all go through it): the document is parsed
+        into columns and the oracle runs on them once.  Returns
         :data:`_OTHER_VERSION` for a document of another format, an
         unknown version or one below ``min_version``, and :data:`_CORRUPT`
-        for anything else that does not rebuild into a report: unreadable
-        bytes, malformed JSON, wrongly typed fields, a schedule the oracle
-        rejects.
+        for anything else that does not parse into a checked report:
+        unreadable bytes, malformed JSON, wrongly typed fields, a schedule
+        the oracle rejects.
         """
         try:
             data = json.loads(path.read_text())
@@ -297,9 +316,11 @@ class ResultStore:
         ):
             return _OTHER_VERSION
         try:
-            return solve_report_from_dict(data)
+            report = solve_report_rows_from_dict(data)
+            verify_schedule(report.schedule)
         except _DECODE_ERRORS:
             return _CORRUPT
+        return report
 
     def _disk_entries(self) -> List[Tuple[float, Path]]:
         """Every disk entry as ``(mtime, path)`` (both layouts); unsorted."""
@@ -411,8 +432,9 @@ class ResultStore:
         This is the offline-mining entry point (``busytime train-selector``
         feeds on it): every report entry in the disk tier — or, for a
         memory-only store, the memory tier — is loaded and returned as
-        ``(fingerprint, report)`` pairs.  At most ``limit`` usable reports
-        are returned (``None``: all of them).
+        ``(fingerprint, report)`` pairs, with its schedule built as objects
+        (after the disk read's one oracle pass).  At most ``limit`` usable
+        reports are returned (``None``: all of them).
 
         Robustness is the point of the method, not an afterthought:
 
@@ -435,7 +457,7 @@ class ResultStore:
                 if limit is not None and len(scan.reports) >= limit:
                     break
                 scan.scanned += 1
-                scan.reports.append((fingerprint, report))
+                scan.reports.append((fingerprint, report.with_objects()))
             return scan
         entries = sorted(self._disk_entries(), reverse=True)  # newest first
         seen: set = set()
@@ -449,7 +471,7 @@ class ResultStore:
             scan.scanned += 1
             loaded = self._load(path, min_version)
             if isinstance(loaded, SolveReport):
-                scan.reports.append((fingerprint, loaded))
+                scan.reports.append((fingerprint, loaded.with_objects()))
             elif loaded == _OTHER_VERSION:
                 scan.skipped_version += 1
             else:

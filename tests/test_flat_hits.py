@@ -2,10 +2,13 @@
 
 A parsed ``POST /solve`` document is :class:`InstanceRows`; the service
 canonicalizes, fingerprints, checks and answers a cache hit from those
-columns.  These tests count the objects that path builds (none) and the
-objects a finished hit keeps (the same at n = 100 and n = 2000), pin the
-row parser against the object path, check that rows built by hand refuse
-what the objects refuse, and pin how ``Engine.solve`` treats a request that
+columns, and the result store keeps its reports as flat columns too, so a
+disk hit decodes the entry into columns and checks them there.  These
+tests count the objects either tier's hit builds (none), the mapping
+passes a hit makes (one), and the objects a finished hit keeps (the same
+at n = 100 and n = 2000, from memory and from disk); they pin the row
+parser against the object path, check that rows built by hand refuse what
+the objects refuse, and pin how ``Engine.solve`` treats a request that
 carries rows.
 """
 
@@ -31,7 +34,7 @@ from busytime.core.intervals import Interval, Job
 from busytime.core.schedule import Machine
 from busytime.generators import uniform_random_instance
 from busytime.pricing.series import BackgroundLoad
-from busytime.service import SolveService, make_server
+from busytime.service import ResultStore, SolveService, make_server
 from busytime.service.canonical import CANONICAL_VERSION, canonicalize, request_fingerprint
 from busytime.service.frontend import _request_from_document
 from perfbench import workloads as wl
@@ -47,8 +50,8 @@ def _body(instance: Instance) -> bytes:
     return json.dumps({"instance": bio.instance_to_dict(instance), "wait": True}).encode()
 
 
-def test_memory_hit_over_http_builds_no_job_machine_or_profile(monkeypatch):
-    built = Counter()
+def _counting_constructors(monkeypatch) -> Counter:
+    built: Counter = Counter()
 
     def counting(cls, method):
         original = getattr(cls, method)
@@ -62,15 +65,18 @@ def test_memory_hit_over_http_builds_no_job_machine_or_profile(monkeypatch):
     counting(Job, "__post_init__")
     counting(Machine, "__init__")
     counting(SweepProfile, "__init__")
-    base, repeat = _hot_pair(200)
-    service = SolveService()
+    return built
+
+
+def _served_over_http(service, instances, built):
+    """POST each instance; ``(cached, constructions)`` per request."""
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
     try:
         seen = []
-        for instance in (base, repeat):
+        for instance in instances:
             built.clear()
             conn.request("POST", "/solve", _body(instance), {"Content-Type": "application/json"})
             reply = json.loads(conn.getresponse().read())
@@ -81,11 +87,62 @@ def test_memory_hit_over_http_builds_no_job_machine_or_profile(monkeypatch):
         server.shutdown()
         server.server_close()
         service.close()
-    (miss_cached, miss), (hit_cached, hit) = seen
+    return seen
+
+
+def test_memory_hit_over_http_builds_no_job_machine_or_profile(monkeypatch):
+    built = _counting_constructors(monkeypatch)
+    base, repeat = _hot_pair(200)
+    service = SolveService()
+    (miss_cached, miss), (hit_cached, hit) = _served_over_http(service, (base, repeat), built)
     assert not miss_cached and hit_cached
     assert service.store.stats()["disk_hits"] == 0
     assert all(miss.get(name, 0) > 0 for name in ("Job", "Machine", "SweepProfile")), miss
     assert hit == {}
+
+
+def test_disk_hit_over_http_builds_no_job_machine_or_profile(monkeypatch, tmp_path):
+    """A reopened store decodes the entry into columns, runs the oracle on
+    them and answers, all without a job, machine or profile object."""
+    base, repeat = _hot_pair(200)
+    with SolveService(store=ResultStore(directory=tmp_path)) as service:
+        service.solve(SolveRequest(instance=base), timeout=120)
+    built = _counting_constructors(monkeypatch)
+    store = ResultStore(directory=tmp_path)
+    [(cached, hit)] = _served_over_http(SolveService(store=store), (repeat,), built)
+    assert cached and store.stats()["disk_hits"] == 1
+    assert hit == {}
+
+
+def test_a_hit_maps_onto_the_caller_rows_once(monkeypatch, tmp_path):
+    """The finish-time check keeps its positions and a hit's reply is
+    written from them, for a memory hit and a disk hit alike.  A miss's
+    reply goes through ``result()``, which maps again to build objects."""
+    from busytime.service import canonical, service as service_module
+
+    calls: Counter = Counter()
+    original = canonical.decanonicalized_rows
+
+    def counted(*args, **kwargs):
+        calls["mapped"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(canonical, "decanonicalized_rows", counted)
+    monkeypatch.setattr(service_module, "decanonicalized_rows", counted)
+    base, repeat = _hot_pair(200)
+    other = wl.quantized(uniform_random_instance(50, 3, seed=9))
+    # base: miss; repeat: memory hit; other: miss, which evicts base from
+    # the capacity-1 memory tier; a second disguise of base: disk hit.
+    requests = (base, repeat, other, wl.disguised(base, random.Random(99)))
+    store = ResultStore(capacity=1, directory=tmp_path)
+    seen = _served_over_http(SolveService(store=store), requests, calls)
+    assert store.stats()["disk_hits"] == 1
+    assert seen == [
+        (False, {"mapped": 2}),
+        (True, {"mapped": 1}),
+        (False, {"mapped": 2}),
+        (True, {"mapped": 1}),
+    ]
 
 
 def _retained_per_hit(n: int, hits: int = 40) -> float:
@@ -110,6 +167,41 @@ def _retained_per_hit(n: int, hits: int = 40) -> float:
 
 def test_finished_hits_retain_the_same_objects_at_any_size():
     small, large = _retained_per_hit(100), _retained_per_hit(2000)
+    assert abs(large - small) <= 5, (small, large)
+
+
+def _retained_per_disk_hit(n: int, directory, hits: int = 40) -> float:
+    """GC-tracked objects a finished disk hit leaves behind, per hit.
+
+    A capacity-1 store alternates between two cache lines, so every
+    request decodes its entry from disk and each finished job keeps its
+    own decoded report.
+    """
+    bases = [wl.quantized(uniform_random_instance(n, 4, seed=n + k)) for k in range(2)]
+    bodies = [
+        json.dumps(
+            {"instance": bio.instance_to_dict(wl.disguised(bases[k % 2], random.Random(k)))}
+        )
+        for k in range(hits + 2)
+    ]
+    store = ResultStore(capacity=1, directory=directory)
+    with SolveService(store=store) as service:
+        for body in bodies[:2]:
+            service.solve(_request_from_document(json.loads(body)), timeout=120)
+        gc.collect()
+        before = len(gc.get_objects())
+        for body in bodies[2:]:
+            job = service.submit(_request_from_document(json.loads(body)))
+            assert service.poll(job)["cached"]
+        gc.collect()
+        after = len(gc.get_objects())
+    assert store.stats()["disk_hits"] == hits
+    return (after - before) / hits
+
+
+def test_finished_disk_hits_retain_the_same_objects_at_any_size(tmp_path):
+    small = _retained_per_disk_hit(100, tmp_path / "small")
+    large = _retained_per_disk_hit(2000, tmp_path / "large")
     assert abs(large - small) <= 5, (small, large)
 
 

@@ -273,6 +273,8 @@ REFUSALS = [
      'job row 1 has no "end"'),
     ("id-text", {"instance": _doc([{"id": "x", "start": 0.0, "end": 1.0}])},
      "invalid literal for int() with base 10: 'x'"),
+    ("id-inf", {"instance": _doc([_OK, {"id": 1e400, "start": 0.0, "end": 1.0}])},
+     'job row 1 "id" must be a finite integer, got inf'),
     ("start-text", {"instance": _doc([{"id": 0, "start": "abc", "end": 1.0}])},
      "could not convert string to float: 'abc'"),
     ("start-nan", {"instance": _doc([{"id": 0, "start": math.nan, "end": 1.0}])},
@@ -306,6 +308,7 @@ REFUSALS = [
     ("no-g", {"instance": {"format": "busytime-instance", "jobs": [_OK]}}, "'g'"),
     ("g-zero", {"instance": _doc([_OK], g=0)}, "parallelism parameter g must be >= 1, got 0"),
     ("g-text", {"instance": _doc([_OK], g="x")}, "invalid literal for int() with base 10: 'x'"),
+    ("g-inf", {"instance": _doc([_OK], g=1e400)}, '"g" must be a finite integer, got inf'),
     ("duplicate-ids", {"instance": _doc([_OK, _OK])}, "job ids must be unique within an instance"),
     ("demand-above-g", {"instance": _doc([_OK, dict(_OK, id=1, demand=3)])},
      "job 1 demands 3 capacity units but g = 2; such a job can never be scheduled"),
@@ -313,6 +316,8 @@ REFUSALS = [
      "site_capacity must be >= 1, got 0"),
     ("site-capacity-text", {"instance": _doc([_OK], site_capacity="x")},
      "invalid literal for int() with base 10: 'x'"),
+    ("site-capacity-inf", {"instance": _doc([_OK], site_capacity=-1e400)},
+     '"site_capacity" must be a finite integer, got -inf'),
     ("demand-above-site-capacity", {"instance": _doc([dict(_OK, demand=2)], site_capacity=1)},
      "job 0 demands 2 units but the site capacity cap is 1; such a job can never be scheduled"),
     ("background-list", {"instance": _doc([_OK], background=[1])},

@@ -23,6 +23,7 @@ from busytime import Engine, Instance, SolveRequest
 from busytime import io as bio
 from busytime.cli import main
 from busytime.core.intervals import Interval, Job
+from busytime.core.schedule import ScheduleRows
 from busytime.generators import uniform_random_instance
 from busytime.service import (
     AdmissionError,
@@ -293,6 +294,11 @@ _DAMAGED_ENTRIES = {
     ),
     "components-int": _damaged_doc(lambda d: d.update(components=5)),
     "tags-list": _damaged_doc(lambda d: d.update(tags=[1])),
+    # json writes 1e400 as Infinity and reads it back as a float infinity.
+    "g-inf": _damaged_doc(lambda d: d["schedule"]["instance"].update(g=1e400)),
+    "job-id-inf": _damaged_doc(
+        lambda d: d["schedule"]["machines"][0]["job_ids"].__setitem__(0, 1e400)
+    ),
 }
 
 
@@ -302,10 +308,15 @@ class TestResultStore:
         fp, report = _canonical_report_for(dyadic_instance(random.Random(0), 6, g=2))
         assert store.get(fp) is None
         store.put(fp, report)
-        assert store.get(fp) is report  # immutable, shared by reference
+        cached = store.get(fp)
         stats = store.stats()
         assert (stats["hits"], stats["misses"], stats["puts"]) == (1, 1, 1)
         assert stats["hit_rate"] == 0.5
+        # The memory tier keeps one flat copy (no job objects), telemetry
+        # included, and shares it by reference.
+        assert isinstance(cached.schedule, ScheduleRows)
+        assert bio.solve_report_to_dict(cached) == bio.solve_report_to_dict(report)
+        assert store.get(fp) is cached
 
     def test_disk_entries_are_written_on_one_line(self, tmp_path):
         store = ResultStore(directory=tmp_path)
@@ -676,7 +687,9 @@ class TestSolveService:
             store.put(fp, report)
         # The put raised (callers count it) but the memory tier kept the
         # entry, so hot repeats still hit while the disk is unwritable.
-        assert store.get(fp) is report
+        cached = store.get(fp)
+        assert cached is not None and store.stats()["disk_hits"] == 0
+        assert bio.solve_report_to_dict(cached) == bio.solve_report_to_dict(report)
 
     def test_disk_store_serves_across_service_restarts(self, tmp_path):
         inst = dyadic_instance(random.Random(70), 9, g=2)

@@ -5,14 +5,18 @@
 fingerprint, hanging them under the request's ``SolveService.result`` span
 (``service.wait``).  A rename, or a miss that waits anywhere else, shows up
 only as a broken ``--trace 1`` run.  This test installs the tracer, read
-only, in a subprocess over an in-process ``SolveService`` + ``make_server``,
-sends one cold solve, one disguised repeat, a session create and one event
-batch, links the spans with ``perfbench.layers.link`` and checks:
+only, in a subprocess over an in-process ``SolveService`` + ``make_server``
+with a disk store, sends one cold solve, one disguised repeat (a memory
+hit), another disguise after the memory tier is cleared (a disk hit), a
+session create and one event batch, links the spans with
+``perfbench.layers.link`` and checks:
 
 * every wrapped name resolved (``install`` raised nothing);
 * the cold request's ``engine.solve`` span sits under its ``service.wait``;
-* the repeat holds no ``engine.*`` span;
-* the cold request's layer self-times sum to no more than its latency;
+* neither repeat holds an ``engine.*`` span, and their ``store.get`` spans
+  read tier ``memory`` and tier ``disk``;
+* the cold request's and the disk hit's layer self-times sum to no more
+  than their latency;
 * the batch holds ``sessions.*`` spans.
 """
 
@@ -30,6 +34,7 @@ _SCRIPT = r"""
 import http.client
 import json
 import random
+import tempfile
 import threading
 import time
 
@@ -41,15 +46,17 @@ install(tracer)
 
 from busytime import io as bio
 from busytime.generators import dynamic_traces, uniform_random_instance
-from busytime.service import SolveService, make_server
+from busytime.service import ResultStore, SolveService, make_server
 
 # On perfbench's dyadic grid a disguise (relabel + shift) is exact, so the
-# repeat hits the cold request's cache line.
+# repeats hit the cold request's cache line.
 base = workloads.quantized(uniform_random_instance(60, 3, seed=11))
 repeat = workloads.disguised(base, random.Random(1))
+from_disk = workloads.disguised(base, random.Random(2))
 trace = dynamic_traces.uniform_dynamic_trace(n=6, g=2, seed=3)
 
-service = SolveService()
+work = tempfile.TemporaryDirectory()
+service = SolveService(store=ResultStore(directory=work.name))
 server = make_server(service)
 loop = threading.Thread(target=server.serve_forever, daemon=True)
 loop.start()
@@ -70,6 +77,8 @@ def call(op, path, doc):
 
 cold = call("cold", "/solve", {"instance": bio.instance_to_dict(base), "wait": True})
 hot = call("hot", "/solve", {"instance": bio.instance_to_dict(repeat), "wait": True})
+service.store.clear_memory()
+disk = call("disk", "/solve", {"instance": bio.instance_to_dict(from_disk), "wait": True})
 created = call("create", "/sessions", {"g": trace.g, "horizon": list(trace.horizon)})
 rows = [bio.trace_event_to_dict(e) for e in trace.events[:4]]
 call("batch", "/sessions/%s/events" % created["session_id"], {"events": rows, "first_offset": 0})
@@ -77,6 +86,7 @@ conn.close()
 server.shutdown()
 server.server_close()
 service.close()
+work.cleanup()
 
 spans = [layers.Span(*span) for span in tracer.spans]
 grouped = layers.link(spans)
@@ -94,13 +104,18 @@ def ancestors(span):
     return names
 
 
-summary = {"cached": [cold["cached"], hot["cached"]], "latency": latency, "ops": {}}
+summary = {
+    "cached": [cold["cached"], hot["cached"], disk["cached"]],
+    "latency": latency,
+    "ops": {},
+}
 for op, op_spans in grouped.items():
     trace_of = layers.OpTrace(latency[op], op_spans)
     by_layer = trace_of.self_by_layer()
     summary["ops"][op] = {
         "names": sorted({s.name for s in op_spans}),
         "engine_ancestors": [ancestors(s) for s in op_spans if s.name == "engine.solve"],
+        "tiers": [s.attrs.get("tier") for s in op_spans if s.name == "store.get"],
         "self_ms": sum(v for k, v in by_layer.items() if k != "unaccounted"),
     }
 print(json.dumps(summary))
@@ -120,7 +135,7 @@ def test_traced_server_keeps_the_span_contract():
     )
     assert done.returncode == 0, done.stderr
     summary = json.loads(done.stdout.strip().splitlines()[-1])
-    assert summary["cached"] == [False, True]
+    assert summary["cached"] == [False, True, True]
     ops = summary["ops"]
 
     cold = ops["cold"]
@@ -142,7 +157,12 @@ def test_traced_server_keeps_the_span_contract():
     assert cold["self_ms"] <= summary["latency"]["cold"]
 
     hot = ops["hot"]
-    assert "canonical.fingerprint" in hot["names"] and "store.get" in hot["names"]
+    assert "canonical.fingerprint" in hot["names"] and hot["tiers"] == ["memory"]
     assert not [name for name in hot["names"] if name.startswith("engine.")]
+
+    disk = ops["disk"]
+    assert "canonical.fingerprint" in disk["names"] and disk["tiers"] == ["disk"]
+    assert not [name for name in disk["names"] if name.startswith("engine.")]
+    assert disk["self_ms"] <= summary["latency"]["disk"]
 
     assert [name for name in ops["batch"]["names"] if name.startswith("sessions.")]
