@@ -1,32 +1,23 @@
 #!/usr/bin/env python
-"""Anytime portfolio racing + learned selector benchmark (experiment E23).
+"""Anytime portfolio racing benchmark (experiment E23).
 
-Regenerates the portfolio layer's three claims into ``BENCH_portfolio.json``
-and exits non-zero if any of them fails to hold:
+Regenerates the portfolio layer's two claims into ``BENCH_portfolio.json``
+and exits non-zero if either fails to hold:
 
 * **anytime** — the race winner's cost is non-increasing in the race budget
   (candidate width), and within a single race the incumbent timeline is
   strictly decreasing: more budget never hurts, and every improvement the
   racer books is a real one;
-* **learned > static** — a selector trained offline on result-store history
-  (disjoint seeds from the evaluation corpus) strictly beats the static
-  ``best_ratio`` single pick in *aggregate* cost over the differential
-  corpus, while per-instance costs are never worse and every proven-ratio
-  certificate is identical (the learned policy reorders only within a
-  guarantee class);
 * **racing is safe** — every race winner passes the independent
   :func:`verify_schedule` oracle and costs no more than the static single
   pick on the same instance.
 
 The evaluation corpus mirrors ``tests/test_differential_corpus.py`` (one
-entry per generator family); the training history is built from the same
-families at disjoint seeds, solved through the engine and mined back out of
-a :class:`ResultStore` exactly the way ``busytime train-selector`` does.
+entry per generator family).
 
 Usage::
 
-    python scripts/bench_portfolio.py                 # full training set
-    python scripts/bench_portfolio.py --quick         # CI smoke scale
+    python scripts/bench_portfolio.py
     python scripts/bench_portfolio.py --output BENCH_portfolio.json
 
 ``benchmarks/test_bench_portfolio.py`` imports the corpus and runners from
@@ -63,16 +54,11 @@ from busytime.generators import (  # noqa: E402
     uniform_traffic,
 )
 from busytime.optical import traffic_to_instance  # noqa: E402
-from busytime.portfolio import learned_policy, train_from_store  # noqa: E402
-from busytime.service import ResultStore  # noqa: E402
 
 _EPS = 1e-9
 
 #: Race widths swept for the anytime claim.
 WIDTHS = (2, 3, 4)
-
-#: Training-history seeds start here — disjoint from every corpus seed.
-TRAIN_SEED_BASE = 100
 
 
 def eval_corpus() -> List[Tuple[str, Instance]]:
@@ -90,32 +76,6 @@ def eval_corpus() -> List[Tuple[str, Instance]]:
         ("adversarial-ranked-shift", ranked_shift_proper_instance(4)),
         ("optical-uniform", traffic_to_instance(uniform_traffic(10, 30, 3, seed=7))),
     ]
-
-
-def train_history_selector(engine: Engine, seeds_per_family: int = 4):
-    """Train a selector from a store history built at disjoint seeds.
-
-    The history is real: each training instance is solved through the
-    engine, the canonical report is put into a (memory-tier) ResultStore,
-    and the trainer mines it back out with ``scan_history`` — the exact
-    path ``busytime train-selector`` takes over a served store directory.
-    """
-    makers = (
-        (uniform_random_instance, 3, 30),
-        (poisson_arrivals_instance, 3, 30),
-        (bursty_instance, 4, 30),
-        (proper_instance, 3, 25),
-        (bounded_length_instance, 3, 25),
-    )
-    store = ResultStore(capacity=max(64, len(makers) * seeds_per_family))
-    index = 0
-    for maker, g, n in makers:
-        for seed in range(TRAIN_SEED_BASE, TRAIN_SEED_BASE + seeds_per_family):
-            instance = maker(n, g, seed=seed)
-            report = engine.solve(SolveRequest(instance=instance))
-            store.put(f"{index:064x}", report)
-            index += 1
-    return train_from_store(store)
 
 
 def run_anytime(engine: Engine) -> List[Dict[str, object]]:
@@ -156,60 +116,6 @@ def run_anytime(engine: Engine) -> List[Dict[str, object]]:
     return rows
 
 
-def run_selector_comparison(engine: Engine, selector) -> Dict[str, object]:
-    """Static best_ratio single pick vs the learned single pick.
-
-    Both solves run ``portfolio=False`` so the policy's top pick carries the
-    whole answer — this is the selection decision the learned layer claims
-    to improve.  Certificates must match per instance; aggregate learned
-    cost must be strictly lower.
-    """
-    policy = learned_policy()
-    rows = []
-    policy.set_selector(selector)
-    try:
-        for label, instance in eval_corpus():
-            static = engine.solve(SolveRequest(instance=instance, portfolio=False))
-            learned = engine.solve(
-                SolveRequest(instance=instance, portfolio=False, policy="learned")
-            )
-            if learned.cost > static.cost + _EPS:
-                raise SystemExit(
-                    f"learned pick on {label} is worse than best_ratio "
-                    f"({learned.cost} > {static.cost})"
-                )
-            if learned.proven_ratio != static.proven_ratio:
-                raise SystemExit(
-                    f"learned pick on {label} changed the certificate "
-                    f"({static.proven_ratio} -> {learned.proven_ratio})"
-                )
-            rows.append(
-                {
-                    "instance": label,
-                    "static_cost": static.cost,
-                    "learned_cost": learned.cost,
-                    "proven_ratio": static.proven_ratio,
-                    "improved": learned.cost < static.cost - _EPS,
-                }
-            )
-    finally:
-        policy.set_selector(None)
-    static_total = sum(r["static_cost"] for r in rows)
-    learned_total = sum(r["learned_cost"] for r in rows)
-    if not learned_total < static_total - _EPS:
-        raise SystemExit(
-            f"learned selector does not strictly beat best_ratio in "
-            f"aggregate ({learned_total} vs {static_total})"
-        )
-    return {
-        "rows": rows,
-        "static_total": static_total,
-        "learned_total": learned_total,
-        "improvement": 1.0 - learned_total / static_total,
-        "instances_improved": sum(1 for r in rows if r["improved"]),
-    }
-
-
 def run_racing_vs_static(engine: Engine) -> List[Dict[str, object]]:
     """A race must never lose to the static single pick it subsumes."""
     rows = []
@@ -236,38 +142,27 @@ def run_racing_vs_static(engine: Engine) -> List[Dict[str, object]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke scale: a smaller training history",
-    )
     parser.add_argument("--output", default="BENCH_portfolio.json")
     args = parser.parse_args(argv)
 
     engine = Engine()
-    seeds = 2 if args.quick else 6
-    selector, train_stats = train_history_selector(engine, seeds_per_family=seeds)
     anytime = run_anytime(engine)
-    comparison = run_selector_comparison(engine, selector)
     racing = run_racing_vs_static(engine)
 
     doc = {
         "experiment": "E23",
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "python": platform.python_version(),
-        "quick": args.quick,
-        "training": train_stats,
         "anytime": anytime,
-        "selector": comparison,
         "racing": racing,
     }
     Path(args.output).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    static_total = sum(r["static_cost"] for r in racing)
+    raced_total = sum(r["raced_cost"] for r in racing)
     print(
-        f"E23: learned total {comparison['learned_total']:.3f} < "
-        f"static total {comparison['static_total']:.3f} "
-        f"({comparison['improvement']:.2%} better, "
-        f"{comparison['instances_improved']} instances strictly improved); "
-        f"anytime sweep clean on {len(anytime)} instances; "
-        f"racing never lost on {len(racing)}"
+        f"E23: anytime sweep clean on {len(anytime)} instances; racing never "
+        f"lost on {len(racing)} (race total {raced_total:.3f} vs static "
+        f"total {static_total:.3f})"
     )
     print(f"written to {args.output}")
     return 0

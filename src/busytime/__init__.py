@@ -34,9 +34,7 @@ The package provides:
   ``busytime serve`` / ``busytime submit``;
 * the portfolio layer (:mod:`busytime.portfolio`): anytime racing of the
   top ranked candidates under a shared deadline (``SolveRequest(race=…,
-  deadline=…)``), versioned instance features, and the ``"learned"``
-  selection policy — per-algorithm cost/time regressors trained offline
-  from result-store history via ``busytime train-selector``.
+  deadline=…)``).
 
 Quick start::
 
@@ -111,11 +109,8 @@ from .optical import (
     groom,
     traffic_to_instance,
 )
-
-# Importing the portfolio package registers the "learned" selection policy;
-# keep it after the engine import (it ranks through the policy registry).
-from . import portfolio  # noqa: E402  isort: skip
-from .portfolio import LearnedSelector, extract_features, race_candidates
+from . import portfolio
+from .portfolio import race_candidates
 
 __version__ = "1.0.0"
 
@@ -169,8 +164,6 @@ __all__ = [
     "brute_force_optimum",
     # portfolio
     "portfolio",
-    "LearnedSelector",
-    "extract_features",
     "race_candidates",
     # optical
     "PathNetwork",

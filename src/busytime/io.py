@@ -211,17 +211,21 @@ def _not_finite(name: str, value: object) -> ValueError:
 
 
 def _int_field(value: object, name: str) -> int:
-    """``int(value)``, refusing an infinite float with a ``ValueError``.
+    """An integer field: a JSON integer, or a float with an integral value.
 
-    ``json.loads`` reads ``1e400`` as infinity, and ``int()`` of it raises
-    ``OverflowError``, which callers that map ``ValueError`` to a refusal
-    (the HTTP frontend's 400, the result store's miss) would not catch.
-    ``name`` says which field it was.
+    Everything else is refused with a ``ValueError`` naming the field
+    (``name``): a fractional value, ``bool``, a string, ``null`` and an
+    infinity (``json.loads`` reads ``1e400`` as one).  ``int()`` would
+    change the first three into another value (``2.5`` to 2, ``"7"`` to 7,
+    ``true`` to 1) and raise ``OverflowError`` on the last, which callers
+    that map ``ValueError`` to a refusal (the HTTP frontend's 400, the
+    result store's miss) would not catch.
     """
-    try:
-        return int(value)  # type: ignore[call-overload]
-    except OverflowError:
-        raise _not_finite(name, value) from None
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise _not_finite(name, value)
 
 
 def instance_to_dict(instance: Union[Instance, InstanceRows]) -> Dict[str, object]:
@@ -288,13 +292,16 @@ def instance_rows_from_dict(data: Mapping[str, object]) -> InstanceRows:
         if type(row) is not dict and not isinstance(row, Mapping):
             raise ValueError(f"job row {position} is not an object")
         try:
-            job_id = int(row["id"])
+            job_id = row["id"]
+            if type(job_id) is not int:
+                job_id = _int_field(job_id, f'job row {position} "id"')
             start = float(row["start"])
             end = float(row["end"])
         except KeyError as exc:
             raise ValueError(f'job row {position} has no "{exc.args[0]}"') from None
-        except OverflowError:
-            raise _not_finite(f'job row {position} "id"', row["id"]) from None
+        except OverflowError as exc:
+            # An integer literal too large for a float, as start or end.
+            raise ValueError(f"job row {position}: {exc}") from None
         check_interval_fields(start, end)
         get = row.get
         weight = float(get("weight", 1.0))
@@ -456,13 +463,14 @@ def schedule_rows_from_dict(data: Mapping[str, object]) -> ScheduleRows:
     job_ids: List[int] = []
     for k, row in enumerate(data["machines"]):  # type: ignore[arg-type]
         ids = row["job_ids"]
-        try:
-            ids = list(map(int, ids))
-        except OverflowError:
+        if not set(map(type, ids)) <= {int}:
             ids = [_int_field(v, f'machine row {k} "job_ids"') for v in ids]
         job_ids += ids
         bounds.append(len(job_ids))
-        indices.append(_int_field(row["index"], f'machine row {k} "index"'))
+        index = row["index"]
+        if type(index) is not int:
+            index = _int_field(index, f'machine row {k} "index"')
+        indices.append(index)
     stated = data.get("total_busy_time")
     return ScheduleRows(
         rows,
@@ -735,7 +743,7 @@ def trace_event_from_dict(row: Mapping[str, object]) -> TraceEvent:
     if not isinstance(job_row, Mapping):
         raise ValueError("event row is missing its 'job' object")
     job = Job(
-        id=int(job_row["id"]),
+        id=_int_field(job_row["id"], 'event job "id"'),
         interval=Interval(float(job_row["start"]), float(job_row["end"])),
         weight=float(job_row.get("weight", 1.0)),
         tag=str(job_row.get("tag", "")),

@@ -1,47 +1,15 @@
-"""Anytime portfolio racing and learned algorithm selection.
+"""Anytime portfolio racing.
 
 The portfolio layer sits between the selection policies (which *rank*
-candidates from static capability metadata or a learned model) and the
-engine (which runs them): :mod:`~busytime.portfolio.racer` races the top
-ranked candidates under a shared deadline with deterministic winners,
-:mod:`~busytime.portfolio.features` turns instances into versioned numeric
-feature vectors, and :mod:`~busytime.portfolio.selector` fits per-algorithm
-cost/time regressors from :class:`~busytime.service.store.ResultStore`
-history and registers them as the ``"learned"`` selection policy.
-
-Importing this package registers the ``learned`` policy (untrained it
-ranks exactly like ``best_ratio``); :mod:`busytime` imports it at package
-import, so pool workers on spawn platforms see it too.
+candidates from static capability metadata) and the engine (which runs
+them): :mod:`~busytime.portfolio.racer` races the top ranked candidates
+under a shared deadline with deterministic winners.  A request with
+``race >= 2`` is the one way to beat the policy's static single pick.
 """
 
-from .features import FEATURE_VERSION, extract_features, feature_names, features_document
 from .racer import DEFAULT_ACCEPT_FACTOR, race_candidates
-from .selector import (
-    SELECTOR_ENV_VAR,
-    LearnedPolicy,
-    LearnedSelector,
-    TrainingSample,
-    gather_training_samples,
-    learned_policy,
-    load_selector,
-    train_from_store,
-    train_selector,
-)
 
 __all__ = [
-    "FEATURE_VERSION",
-    "extract_features",
-    "feature_names",
-    "features_document",
     "DEFAULT_ACCEPT_FACTOR",
     "race_candidates",
-    "SELECTOR_ENV_VAR",
-    "LearnedPolicy",
-    "LearnedSelector",
-    "TrainingSample",
-    "gather_training_samples",
-    "learned_policy",
-    "load_selector",
-    "train_from_store",
-    "train_selector",
 ]

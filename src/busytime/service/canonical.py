@@ -502,7 +502,7 @@ def decanonicalized_rows(
 
 def decanonicalize_report(
     report: SolveReport,
-    form: Union[CanonicalForm, CanonicalMap],
+    form: Union[CanonicalForm, CanonicalMap, Mapped],
     original: Union[Instance, InstanceRows],
     tags: Optional[Mapping[str, object]] = None,
 ) -> SolveReport:
@@ -516,13 +516,19 @@ def decanonicalize_report(
     raises instead of fabricating a schedule.  Under those checks the
     rebuilt schedule is feasible by construction whenever the canonical one
     was, so no oracle pass runs here.  ``original`` may be the caller's
-    rows, and ``report`` flat; the objects are built here.
+    rows, and ``report`` flat; the objects are built here.  ``form`` may
+    also be what :func:`decanonicalized_rows` already returned for this
+    report and ``original`` (a finished service job keeps it): then those
+    checked positions are used and the mapping is not redone.
 
     Costs, bounds and certificates are translation/relabeling invariant and
     carry over unchanged.
     """
     rows = as_rows(original)
-    positions, placed = decanonicalized_rows(report, rows, form)
+    if isinstance(form, tuple):
+        positions, placed = form
+    else:
+        positions, placed = decanonicalized_rows(report, rows, form)
     instance = rows.to_instance()
     jobs = list(map(instance.jobs.__getitem__, positions))
     if placed is not None:

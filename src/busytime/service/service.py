@@ -438,13 +438,15 @@ class SolveService:
     def result(self, job_id: str, timeout: Optional[float] = None) -> SolveReport:
         """Block until the job finishes and return its report.
 
-        The report is de-canonicalized onto the caller's instance on every
-        call (the job keeps only flat rows).  Raises ``KeyError`` for
-        unknown (or pruned) ids, :class:`JobFailedError` when the solve
-        failed, and ``TimeoutError`` when ``timeout`` elapses.
+        The report's objects are built on the caller's instance on every
+        call (the job keeps only flat rows), from the positions checked
+        when the job finished: the mapping is not redone.  Raises
+        ``KeyError`` for unknown (or pruned) ids, :class:`JobFailedError`
+        when the solve failed, and ``TimeoutError`` when ``timeout``
+        elapses.
         """
         job = self._finished_job(job_id, timeout)
-        return decanonicalize_report(job.report, job.mapping, job.rows, tags=job.tags)
+        return decanonicalize_report(job.report, job.mapped, job.rows, tags=job.tags)
 
     def report_document(self, job_id: str) -> Dict[str, object]:
         """The finished job's ``busytime-solve-report`` document.

@@ -67,7 +67,6 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -75,12 +74,9 @@ from ..core.schedule import ProfileOracleMismatchError, verify_schedule
 from ..engine.report import SolveReport
 from ..io import _SUPPORTED_VERSIONS, solve_report_rows_from_dict, solve_report_to_dict
 
-__all__ = ["HistoryScan", "ResultStore"]
+__all__ = ["ResultStore"]
 
 _PathLike = Union[str, Path]
-
-#: Why :meth:`ResultStore._load` found no usable report in an entry.
-_CORRUPT, _OTHER_VERSION = "corrupt", "version"
 
 #: What a malformed entry can raise while its report is parsed and checked
 #: (a wrongly typed field, a missing key, an infinite number where an
@@ -96,27 +92,6 @@ _DECODE_ERRORS = (
 #: 1.8-3.1 ms compact).  Readers all go through ``json.loads``, so entries
 #: written indented by earlier versions still load.
 _COMPACT = (",", ":")
-
-
-@dataclass
-class HistoryScan:
-    """What a :meth:`ResultStore.scan_history` pass found — and skipped.
-
-    The skip counters are the hardening contract for offline consumers
-    (selector training): a corrupt file or a pre-v2 document costs one
-    counter tick, never an exception, so mining a long-lived store that has
-    seen crashes, version upgrades and co-writers always yields whatever
-    usable history remains.
-    """
-
-    reports: List[Tuple[str, SolveReport]] = field(default_factory=list)
-    scanned: int = 0
-    skipped_corrupt: int = 0
-    skipped_version: int = 0
-
-    @property
-    def skipped(self) -> int:
-        return self.skipped_corrupt + self.skipped_version
 
 
 class ResultStore:
@@ -285,41 +260,37 @@ class ResultStore:
             path = self.directory / f"{fingerprint}.json"
         # Missing, corrupt or version-incompatible entry: a miss, not an
         # error — the request simply re-solves and overwrites it.
-        loaded = self._load(path)
-        return loaded if isinstance(loaded, SolveReport) else None
+        return self._load(path)
 
     @staticmethod
-    def _load(path: Path, min_version: int = 1) -> Union[SolveReport, str]:
-        """The flat report stored at ``path``, or why there is none.
+    def _load(path: Path) -> Optional[SolveReport]:
+        """The checked flat report stored at ``path``, or ``None``.
 
-        The one reader of disk entries (:meth:`get`, :meth:`warm` and
-        :meth:`scan_history` all go through it): the document is parsed
-        into columns and the oracle runs on them once.  Returns
-        :data:`_OTHER_VERSION` for a document of another format, an
-        unknown version or one below ``min_version``, and :data:`_CORRUPT`
-        for anything else that does not parse into a checked report:
-        unreadable bytes, malformed JSON, wrongly typed fields, a schedule
-        the oracle rejects.
+        The one reader of disk entries (:meth:`get` and :meth:`warm` go
+        through it): the document is parsed into columns and the oracle
+        runs on them once.  ``None`` covers every entry that does not
+        parse into a checked report: unreadable bytes, malformed JSON, a
+        document of another format or an unknown version, wrongly typed
+        fields, a schedule the oracle rejects.
         """
         try:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
-            return _CORRUPT
+            return None
         version = data.get("version", 1) if isinstance(data, dict) else None
         if (
             not isinstance(data, dict)
             or data.get("format") != "busytime-solve-report"
             or not isinstance(version, int)
             or isinstance(version, bool)
-            or version < min_version
             or version not in _SUPPORTED_VERSIONS["busytime-solve-report"]
         ):
-            return _OTHER_VERSION
+            return None
         try:
             report = solve_report_rows_from_dict(data)
             verify_schedule(report.schedule)
         except _DECODE_ERRORS:
-            return _CORRUPT
+            return None
         return report
 
     def _disk_entries(self) -> List[Tuple[float, Path]]:
@@ -415,7 +386,7 @@ class ResultStore:
                 if fingerprint in self._memory:
                     continue
             report = self._load(path)
-            if not isinstance(report, SolveReport):
+            if report is None:
                 continue
             with self._lock:
                 if fingerprint not in self._memory:
@@ -423,60 +394,6 @@ class ResultStore:
                     self._warmed += 1
                     loaded += 1
         return loaded
-
-    def scan_history(
-        self, limit: Optional[int] = None, min_version: int = 2
-    ) -> HistoryScan:
-        """Iterate the store's report history, newest first, never aborting.
-
-        This is the offline-mining entry point (``busytime train-selector``
-        feeds on it): every report entry in the disk tier — or, for a
-        memory-only store, the memory tier — is loaded and returned as
-        ``(fingerprint, report)`` pairs, with its schedule built as objects
-        (after the disk read's one oracle pass).  At most ``limit`` usable
-        reports are returned (``None``: all of them).
-
-        Robustness is the point of the method, not an afterthought:
-
-        * unreadable or malformed JSON counts as ``skipped_corrupt``;
-        * documents of a different format, an unknown version, or a version
-          below ``min_version`` (pre-v2 documents predate the problem-model
-          axis, so their implied cost semantics are not trustworthy for
-          training) count as ``skipped_version``;
-        * a document that parses but fails report reconstruction counts as
-          ``skipped_corrupt``.
-
-        Nothing raises; the counters in the returned :class:`HistoryScan`
-        tell the caller exactly how much history was unusable.
-        """
-        scan = HistoryScan()
-        if self.directory is None:
-            with self._lock:
-                snapshot = list(self._memory.items())
-            for fingerprint, report in reversed(snapshot):  # newest first
-                if limit is not None and len(scan.reports) >= limit:
-                    break
-                scan.scanned += 1
-                scan.reports.append((fingerprint, report.with_objects()))
-            return scan
-        entries = sorted(self._disk_entries(), reverse=True)  # newest first
-        seen: set = set()
-        for _, path in entries:
-            if limit is not None and len(scan.reports) >= limit:
-                break
-            fingerprint = path.stem
-            if fingerprint in seen:
-                continue  # the same entry in both flat and sharded layouts
-            seen.add(fingerprint)
-            scan.scanned += 1
-            loaded = self._load(path, min_version)
-            if isinstance(loaded, SolveReport):
-                scan.reports.append((fingerprint, loaded.with_objects()))
-            elif loaded == _OTHER_VERSION:
-                scan.skipped_version += 1
-            else:
-                scan.skipped_corrupt += 1
-        return scan
 
     # -- free-form documents (session checkpoints) ----------------------------
 

@@ -117,7 +117,8 @@ def test_disk_hit_over_http_builds_no_job_machine_or_profile(monkeypatch, tmp_pa
 def test_a_hit_maps_onto_the_caller_rows_once(monkeypatch, tmp_path):
     """The finish-time check keeps its positions and a hit's reply is
     written from them, for a memory hit and a disk hit alike.  A miss's
-    reply goes through ``result()``, which maps again to build objects."""
+    reply goes through ``result()``, which builds its objects from the
+    same positions."""
     from busytime.service import canonical, service as service_module
 
     calls: Counter = Counter()
@@ -138,9 +139,9 @@ def test_a_hit_maps_onto_the_caller_rows_once(monkeypatch, tmp_path):
     seen = _served_over_http(SolveService(store=store), requests, calls)
     assert store.stats()["disk_hits"] == 1
     assert seen == [
-        (False, {"mapped": 2}),
+        (False, {"mapped": 1}),
         (True, {"mapped": 1}),
-        (False, {"mapped": 2}),
+        (False, {"mapped": 1}),
         (True, {"mapped": 1}),
     ]
 

@@ -1,63 +1,32 @@
-"""Tests for the portfolio layer: features, racing, the learned selector.
+"""Tests for the portfolio layer: anytime racing.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 * **Determinism** — repeated races on the same request produce bit-identical
   winning schedules, serially and under a real executor, because acceptance
   is resolved in rank order and ties break by ``(cost, rank)``.
 * **Safety** — a poisoned candidate (raises, or returns an infeasible
   schedule) loses its own slot and nothing else; every race winner passes
-  the independent :func:`verify_schedule` oracle; the learned policy can
-  reorder only *within* a guarantee class, so certificates never weaken.
-* **Hardening** — mining a result store's history for training data skips
-  corrupt and old-version entries with counted warnings, never an abort.
+  the independent :func:`verify_schedule` oracle.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
 from busytime import Engine, Instance, SolveRequest
 from busytime import io as bio
 from busytime.algorithms import get_scheduler
-from busytime.core.bounds import best_lower_bound
 from busytime.core.intervals import Interval, Job
 from busytime.core.schedule import verify_schedule
 from busytime.engine.policy import SINGLE_MACHINE, BestRatioPolicy, FirstFitPolicy
 from busytime.engine.request import RequestValidationError
-from busytime.generators import (
-    bounded_length_instance,
-    bursty_instance,
-    poisson_arrivals_instance,
-    proper_instance,
-    uniform_random_instance,
-    uniform_traffic,
-)
-from busytime.optical import traffic_to_instance
-from busytime.portfolio import (
-    FEATURE_VERSION,
-    SELECTOR_ENV_VAR,
-    LearnedPolicy,
-    LearnedSelector,
-    TrainingSample,
-    extract_features,
-    feature_names,
-    features_document,
-    learned_policy,
-    race_candidates,
-    train_from_store,
-    train_selector,
-)
+from busytime.generators import uniform_random_instance
+from busytime.portfolio import race_candidates
 from busytime.portfolio import racer as racer_module
-from busytime.portfolio.selector import gather_training_samples
-from busytime.service import ResultStore
-from busytime.service.store import HistoryScan
 
 
 def _busy_time_model():
@@ -90,59 +59,6 @@ def _relabeled_shifted(instance: Instance, delta: float = 64.0) -> Instance:
         g=instance.g,
         name="variant",
     )
-
-
-# ---------------------------------------------------------------------------
-# Features
-# ---------------------------------------------------------------------------
-
-
-class TestFeatures:
-    def test_vector_matches_declared_names(self):
-        inst = uniform_random_instance(20, 3, seed=0)
-        values = extract_features(inst)
-        assert len(values) == len(feature_names())
-        assert all(isinstance(v, float) for v in values)
-
-    def test_invariant_under_relabeling_and_translation(self):
-        # Dyadic coordinates (multiples of 1/16) make the translation exact
-        # in binary floating point, so equality is a property of the
-        # features, not of lucky rounding.
-        import random
-
-        for seed in range(4):
-            rng = random.Random(seed)
-            jobs = []
-            for i in range(25):
-                start = rng.randrange(0, 512) / 16.0
-                length = rng.randrange(1, 128) / 16.0
-                jobs.append(Job(id=i, interval=Interval(start, start + length)))
-            inst = Instance(jobs=tuple(jobs), g=3)
-            assert extract_features(inst) == extract_features(
-                _relabeled_shifted(inst)
-            )
-
-    def test_empty_instance_keeps_g(self):
-        inst = Instance(jobs=(), g=5)
-        values = dict(zip(feature_names(), extract_features(inst)))
-        assert values["g"] == 5.0
-        assert values["n"] == 0.0
-
-    def test_zero_length_job_keeps_every_feature_finite(self):
-        # E23's optical-uniform instance: the traffic reduction yields a
-        # zero-length job, which made version 1's length_ratio infinite.
-        inst = traffic_to_instance(uniform_traffic(10, 30, 3, seed=7))
-        assert min(j.length for j in inst.jobs) == 0.0
-        values = dict(zip(feature_names(), extract_features(inst)))
-        assert all(math.isfinite(v) for v in values.values())
-        positive = [j.length for j in inst.jobs if j.length > 0]
-        assert values["length_ratio"] == max(positive) / min(positive)
-
-    def test_document_carries_version(self):
-        doc = features_document(uniform_random_instance(10, 2, seed=1))
-        assert doc["version"] == FEATURE_VERSION
-        assert doc["names"] == list(feature_names())
-        assert len(doc["values"]) == len(doc["names"])
 
 
 # ---------------------------------------------------------------------------
@@ -410,197 +326,6 @@ class TestRaceSerialization:
 
 
 # ---------------------------------------------------------------------------
-# Learned selector: training, persistence, ranking
-# ---------------------------------------------------------------------------
-
-
-def _training_corpus():
-    return [
-        uniform_random_instance(20, 3, seed=s) for s in range(3)
-    ] + [bursty_instance(20, 3, seed=3), proper_instance(20, 3, seed=4)]
-
-
-def _handcrafted_samples():
-    samples = []
-    for index, inst in enumerate(_training_corpus()):
-        features = extract_features(inst)
-        lb = max(best_lower_bound(inst), 1e-12)
-        for name in ("first_fit", "first_fit_ls", "best_fit"):
-            scheduler = get_scheduler(name)
-            if not scheduler.handles(inst, "busy_time"):
-                continue
-            schedule = scheduler(inst)
-            samples.append(
-                TrainingSample(
-                    fingerprint=f"fp{index}",
-                    features=features,
-                    algorithm=name,
-                    cost_ratio=schedule.total_busy_time / lb,
-                    wall_time=0.001 * (index + 1),
-                )
-            )
-    return samples
-
-
-def _history_samples():
-    """Samples mined the way E23 trains (five families at disjoint seeds,
-    solved into a store, every candidate replayed), with each measured wall
-    time replaced by a reproducible stand-in proportional to n."""
-    store = ResultStore(capacity=16)
-    makers = (
-        (uniform_random_instance, 3, 30),
-        (poisson_arrivals_instance, 3, 30),
-        (bursty_instance, 4, 30),
-        (proper_instance, 3, 25),
-        (bounded_length_instance, 3, 25),
-    )
-    engine = Engine()
-    for index, (maker, g, n) in enumerate(makers):
-        for seed in (100, 101):
-            report = engine.solve(SolveRequest(instance=maker(n, g, seed=seed)))
-            store.put(f"{index:032x}{seed:032x}", report)
-    samples, _, _ = gather_training_samples(store)
-    return [replace(s, wall_time=1e-4 * (1.0 + s.features[0])) for s in samples]
-
-
-class TestLearnedSelector:
-    def test_training_requires_samples(self):
-        with pytest.raises(ValueError, match="no training samples"):
-            train_selector([])
-
-    def test_zero_length_job_ranking_ignores_wall_time_noise(self):
-        """An infinite feature made every cost head predict infinity, so the
-        time heads, fit on measured wall time, decided the ranking.  With
-        finite features, selectors trained on the same samples with wall
-        times jittered 0.5-2x rank the instance the same way."""
-        import random
-
-        inst = traffic_to_instance(uniform_traffic(10, 30, 3, seed=7))
-        samples = _history_samples()
-        rankings = set()
-        for seed in range(6):
-            rng = random.Random(seed)
-            jittered = [
-                replace(s, wall_time=s.wall_time * rng.uniform(0.5, 2.0))
-                for s in samples
-            ]
-            rankings.add(tuple(LearnedPolicy(train_selector(jittered)).rank(inst)))
-        assert len(rankings) == 1
-
-    def test_save_load_ranks_identically(self, tmp_path):
-        selector = train_selector(_handcrafted_samples())
-        path = tmp_path / "selector.json"
-        selector.save(path)
-        loaded = LearnedSelector.load(path)
-        assert loaded.compatible()
-        fresh = [uniform_random_instance(30, 3, seed=s) for s in (40, 41, 42)]
-        for inst in fresh:
-            assert LearnedPolicy(selector).rank(inst) == LearnedPolicy(loaded).rank(
-                inst
-            )
-
-    def test_registered_policy_round_trip(self, tmp_path):
-        # Satellite: save -> load -> install into the *registered* policy ->
-        # identical ranking to the in-memory model.
-        selector = train_selector(_handcrafted_samples())
-        path = tmp_path / "selector.json"
-        selector.save(path)
-        inst = uniform_random_instance(30, 3, seed=43)
-        expected = LearnedPolicy(selector).rank(inst)
-        policy = learned_policy()
-        try:
-            policy.set_selector(LearnedSelector.load(path))
-            assert policy.rank(inst) == expected
-        finally:
-            policy.set_selector(None)
-            policy._env_checked = True  # keep this test env-independent
-
-    def test_untrained_policy_matches_best_ratio(self):
-        fresh = LearnedPolicy()
-        fresh._env_checked = True  # ignore any ambient BUSYTIME_SELECTOR
-        for seed in (50, 51):
-            inst = uniform_random_instance(25, 3, seed=seed)
-            assert fresh.rank(inst) == BestRatioPolicy().rank(inst)
-
-    def test_guarantee_first_never_weakens_certificates(self):
-        selector = train_selector(_handcrafted_samples())
-        policy = LearnedPolicy(selector)
-        for seed in range(6):
-            inst = uniform_random_instance(30, 3, seed=seed)
-            ranked = policy.rank(inst)
-            static = BestRatioPolicy().rank(inst)
-            assert sorted(ranked) == sorted(static)
-            best = get_scheduler(static[0]).approximation_ratio
-            # The learned top pick always carries the best available ratio.
-            assert get_scheduler(ranked[0]).approximation_ratio == best
-
-    def test_incompatible_feature_version_falls_back(self):
-        selector = train_selector(_handcrafted_samples())
-        stale = LearnedSelector(
-            heads=selector.heads,
-            scale_mean=selector.scale_mean,
-            scale_std=selector.scale_std,
-            feature_version=FEATURE_VERSION + 1,
-            names=selector.names,
-        )
-        inst = uniform_random_instance(25, 3, seed=60)
-        assert LearnedPolicy(stale).rank(inst) == BestRatioPolicy().rank(inst)
-
-    def test_non_ratio_preserving_objective_falls_back(self):
-        selector = train_selector(_handcrafted_samples())
-        inst = uniform_random_instance(25, 3, seed=61)
-        assert LearnedPolicy(selector).rank(
-            inst, "machines_plus_busy"
-        ) == BestRatioPolicy().rank(inst, "machines_plus_busy")
-
-    def test_env_var_loads_the_model_lazily(self, tmp_path, monkeypatch):
-        selector = train_selector(_handcrafted_samples())
-        path = tmp_path / "selector.json"
-        selector.save(path)
-        monkeypatch.setenv(SELECTOR_ENV_VAR, str(path))
-        inst = uniform_random_instance(30, 3, seed=62)
-        assert LearnedPolicy().rank(inst) == LearnedPolicy(selector).rank(inst)
-
-    def test_unreadable_env_model_warns_and_falls_back(self, tmp_path, monkeypatch):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        monkeypatch.setenv(SELECTOR_ENV_VAR, str(bad))
-        inst = uniform_random_instance(25, 3, seed=63)
-        policy = LearnedPolicy()
-        with pytest.warns(UserWarning, match="could not load selector"):
-            ranked = policy.rank(inst)
-        assert ranked == BestRatioPolicy().rank(inst)
-
-    def test_time_prediction_never_overflows(self):
-        # A linear head extrapolating far out of distribution must clamp,
-        # not raise OverflowError (regression: huge instances vs tiny
-        # training sets).
-        selector = train_selector(_handcrafted_samples())
-        huge = uniform_random_instance(2000, 5, seed=64)
-        features = extract_features(huge)
-        for name in selector.heads:
-            predicted = selector.predict_time(name, features)
-            assert predicted is None or predicted >= 0.0
-
-    def test_racing_with_learned_policy_matches_static_certificate(self):
-        selector = train_selector(_handcrafted_samples())
-        policy = learned_policy()
-        inst = uniform_random_instance(30, 3, seed=65)
-        static = Engine().solve(SolveRequest(instance=inst, race=3))
-        try:
-            policy.set_selector(selector)
-            learned = Engine().solve(
-                SolveRequest(instance=inst, race=3, policy="learned")
-            )
-        finally:
-            policy.set_selector(None)
-            policy._env_checked = True
-        verify_schedule(learned.schedule)
-        assert learned.proven_ratio == static.proven_ratio
-        assert learned.cost <= static.cost + 1e-9
-
-
-# ---------------------------------------------------------------------------
 # Policy capability coverage (demand-aware + objective filtering)
 # ---------------------------------------------------------------------------
 
@@ -615,7 +340,7 @@ def _demand_instance() -> Instance:
 
 class TestPolicyCapabilityCoverage:
     @pytest.mark.parametrize(
-        "policy", [BestRatioPolicy(), FirstFitPolicy(), LearnedPolicy()]
+        "policy", [BestRatioPolicy(), FirstFitPolicy()]
     )
     def test_demand_instances_rank_only_demand_aware(self, policy):
         ranked = policy.rank(_demand_instance())
@@ -624,7 +349,7 @@ class TestPolicyCapabilityCoverage:
             assert get_scheduler(name).demand_aware
 
     @pytest.mark.parametrize(
-        "policy", [BestRatioPolicy(), FirstFitPolicy(), LearnedPolicy()]
+        "policy", [BestRatioPolicy(), FirstFitPolicy()]
     )
     def test_objective_filtering(self, policy):
         inst = uniform_random_instance(25, 3, seed=70)
@@ -641,93 +366,7 @@ class TestPolicyCapabilityCoverage:
 
 
 # ---------------------------------------------------------------------------
-# Store history scanning (hardening satellite)
-# ---------------------------------------------------------------------------
-
-
-def _populate_store(store: ResultStore, count: int = 3) -> None:
-    engine = Engine()
-    for seed in range(count):
-        inst = uniform_random_instance(12, 3, seed=seed)
-        report = engine.solve(SolveRequest(instance=inst))
-        store.put(f"{seed:064x}", report)
-
-
-class TestHistoryScan:
-    def test_memory_only_scan_returns_reports(self):
-        store = ResultStore(capacity=8)
-        _populate_store(store)
-        scan = store.scan_history()
-        assert len(scan.reports) == 3
-        assert scan.skipped == 0
-
-    def test_disk_scan_skips_corrupt_and_old_entries(self, tmp_path):
-        store = ResultStore(capacity=8, directory=tmp_path / "store")
-        _populate_store(store)
-        root = store.directory
-        # Corrupt: unparseable JSON, and a well-versioned document whose
-        # body cannot be reconstructed.
-        (root / "deadbeef.json").write_text("{this is not json")
-        broken = {
-            "format": "busytime-solve-report",
-            "version": 3,
-            "schedule": {"nope": True},
-        }
-        (root / "cafecafe.json").write_text(json.dumps(broken))
-        # Wrong version / format: pre-v2, unknown-future, and a non-dict.
-        sample = json.loads(
-            next(root.glob("*/*.json")).read_text()
-        )
-        old = dict(sample, version=1)
-        (root / "0ld0ld0ld.json").write_text(json.dumps(old))
-        future = dict(sample, version=99)
-        (root / "f0f0f0f0.json").write_text(json.dumps(future))
-        (root / "11111111.json").write_text("[1, 2, 3]")
-
-        scan = store.scan_history()
-        assert isinstance(scan, HistoryScan)
-        assert len(scan.reports) == 3
-        assert scan.skipped_corrupt == 2
-        assert scan.skipped_version == 3
-        assert scan.scanned == 8
-        for _, report in scan.reports:
-            report.schedule.validate()
-
-    def test_scan_limit_takes_newest_first(self, tmp_path):
-        store = ResultStore(capacity=8, directory=tmp_path / "store")
-        _populate_store(store, count=4)
-        scan = store.scan_history(limit=2)
-        assert len(scan.reports) == 2
-
-    def test_training_warns_but_proceeds_over_bad_history(self, tmp_path):
-        store = ResultStore(capacity=8, directory=tmp_path / "store")
-        _populate_store(store)
-        (store.directory / "deadbeef.json").write_text("{garbage")
-        sample = json.loads(next(store.directory.glob("*/*.json")).read_text())
-        (store.directory / "0ld0ld.json").write_text(
-            json.dumps(dict(sample, version=1))
-        )
-        with pytest.warns(UserWarning, match=r"skipped 2 unusable store entries"):
-            selector, stats = train_from_store(store)
-        assert stats["skipped_corrupt"] == 1
-        assert stats["skipped_version"] == 1
-        assert stats["samples"] > 0
-        assert selector.heads
-        assert selector.compatible()
-
-    def test_clean_history_trains_without_warnings(self, tmp_path):
-        store = ResultStore(capacity=8, directory=tmp_path / "store")
-        _populate_store(store)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            selector, stats = train_from_store(store)
-        assert stats["skipped_corrupt"] == 0
-        assert stats["skipped_version"] == 0
-        assert selector.heads
-
-
-# ---------------------------------------------------------------------------
-# CLI: solve --race / --selector and train-selector
+# CLI: solve --race
 # ---------------------------------------------------------------------------
 
 
@@ -753,92 +392,6 @@ class TestPortfolioCli:
         rc = main(["solve", str(path), "--race", "1"])
         assert rc == 2
         assert "race" in capsys.readouterr().err
-
-    def test_train_selector_then_solve_with_it(self, tmp_path, capsys, monkeypatch):
-        from busytime.cli import main
-        from busytime.io import save_instance
-
-        monkeypatch.delenv(SELECTOR_ENV_VAR, raising=False)
-        store = ResultStore(capacity=8, directory=tmp_path / "store")
-        _populate_store(store)
-        model_path = tmp_path / "selector.json"
-        rc = main(
-            [
-                "train-selector",
-                "--store-dir", str(tmp_path / "store"),
-                "--output", str(model_path),
-                "--min-samples", "2",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "selector trained" in out
-        assert LearnedSelector.load(model_path).compatible()
-
-        inst_path = tmp_path / "inst.json"
-        save_instance(uniform_random_instance(20, 3, seed=92), inst_path)
-        try:
-            rc = main(
-                [
-                    "solve", str(inst_path),
-                    "--policy", "learned",
-                    "--selector", str(model_path),
-                    "--race", "3",
-                ]
-            )
-        finally:
-            # The CLI exports the model path for pool workers; scrub it so
-            # later tests see a pristine environment.
-            import os
-
-            os.environ.pop(SELECTOR_ENV_VAR, None)
-            learned_policy().set_selector(None)
-            learned_policy()._env_checked = True
-        assert rc == 0
-        assert "raced" in capsys.readouterr().out
-
-    def test_train_selector_surfaces_skip_warnings(self, tmp_path, capsys):
-        from busytime.cli import main
-
-        store = ResultStore(capacity=8, directory=tmp_path / "store")
-        _populate_store(store)
-        (store.directory / "deadbeef.json").write_text("{garbage")
-        rc = main(
-            [
-                "train-selector",
-                "--store-dir", str(tmp_path / "store"),
-                "--output", str(tmp_path / "selector.json"),
-                "--min-samples", "2",
-            ]
-        )
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "unusable store entries" in captured.err
-
-    def test_train_selector_empty_store_is_a_cli_error(self, tmp_path, capsys):
-        from busytime.cli import main
-
-        (tmp_path / "store").mkdir()
-        rc = main(
-            [
-                "train-selector",
-                "--store-dir", str(tmp_path / "store"),
-                "--output", str(tmp_path / "selector.json"),
-            ]
-        )
-        assert rc == 2
-        assert "no training samples" in capsys.readouterr().err
-
-    def test_missing_selector_file_is_a_cli_error(self, tmp_path, capsys, monkeypatch):
-        from busytime.cli import main
-        from busytime.io import save_instance
-
-        monkeypatch.delenv(SELECTOR_ENV_VAR, raising=False)
-        path = tmp_path / "inst.json"
-        save_instance(uniform_random_instance(10, 3, seed=93), path)
-        rc = main(["solve", str(path), "--selector", str(tmp_path / "nope.json")])
-        assert rc == 2
-        assert "could not load selector" in capsys.readouterr().err
 
     def test_submit_parser_accepts_race_and_deadline_ms(self):
         from busytime.cli import build_parser

@@ -272,7 +272,13 @@ REFUSALS = [
     ("row-no-end", {"instance": _doc([_OK, {"id": 1, "start": 0.0}])},
      'job row 1 has no "end"'),
     ("id-text", {"instance": _doc([{"id": "x", "start": 0.0, "end": 1.0}])},
-     "invalid literal for int() with base 10: 'x'"),
+     'job row 0 "id" must be a finite integer, got \'x\''),
+    ("id-fraction", {"instance": _doc([_OK, {"id": 2.5, "start": 0.0, "end": 1.0}])},
+     'job row 1 "id" must be a finite integer, got 2.5'),
+    ("id-numeric-text", {"instance": _doc([{"id": "7", "start": 0.0, "end": 1.0}])},
+     'job row 0 "id" must be a finite integer, got \'7\''),
+    ("id-bool", {"instance": _doc([{"id": True, "start": 0.0, "end": 1.0}])},
+     'job row 0 "id" must be a finite integer, got True'),
     ("id-inf", {"instance": _doc([_OK, {"id": 1e400, "start": 0.0, "end": 1.0}])},
      'job row 1 "id" must be a finite integer, got inf'),
     ("start-text", {"instance": _doc([{"id": 0, "start": "abc", "end": 1.0}])},
@@ -307,7 +313,8 @@ REFUSALS = [
      "job weight must be positive"),
     ("no-g", {"instance": {"format": "busytime-instance", "jobs": [_OK]}}, "'g'"),
     ("g-zero", {"instance": _doc([_OK], g=0)}, "parallelism parameter g must be >= 1, got 0"),
-    ("g-text", {"instance": _doc([_OK], g="x")}, "invalid literal for int() with base 10: 'x'"),
+    ("g-text", {"instance": _doc([_OK], g="x")}, '"g" must be a finite integer, got \'x\''),
+    ("g-fraction", {"instance": _doc([_OK], g=2.9)}, '"g" must be a finite integer, got 2.9'),
     ("g-inf", {"instance": _doc([_OK], g=1e400)}, '"g" must be a finite integer, got inf'),
     ("duplicate-ids", {"instance": _doc([_OK, _OK])}, "job ids must be unique within an instance"),
     ("demand-above-g", {"instance": _doc([_OK, dict(_OK, id=1, demand=3)])},
@@ -315,7 +322,7 @@ REFUSALS = [
     ("site-capacity-zero", {"instance": _doc([_OK], site_capacity=0)},
      "site_capacity must be >= 1, got 0"),
     ("site-capacity-text", {"instance": _doc([_OK], site_capacity="x")},
-     "invalid literal for int() with base 10: 'x'"),
+     '"site_capacity" must be a finite integer, got \'x\''),
     ("site-capacity-inf", {"instance": _doc([_OK], site_capacity=-1e400)},
      '"site_capacity" must be a finite integer, got -inf'),
     ("demand-above-site-capacity", {"instance": _doc([dict(_OK, demand=2)], site_capacity=1)},
