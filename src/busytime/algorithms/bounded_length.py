@@ -30,10 +30,14 @@ Step 2:
   ``(1+0)``-approximation);
 * otherwise an independent-set packing in the spirit of Step 2(c)–(e): the
   segment's jobs are decomposed into independent sets ("threads", one per
-  colour of the interval graph), candidate machines with busy-interval
-  guesses are formed by grouping ``g`` threads, and the assignment of
-  independent sets to machines is recomputed by a maximum bipartite
-  b-matching (machine capacity ``g``, independent-set capacity 1);
+  colour of the interval graph), sorted by hull start and grouped ``g`` at
+  a time, and each group's hull is a candidate machine's busy-interval
+  guess.  The grouping is itself a perfect b-matching of threads to those
+  machines (machine capacity ``g``, independent-set capacity 1), and it is
+  the only one unless some thread is *tied*: its hull also fits inside a
+  later group's hull, which needs equal hull starts.  So the grouping is
+  the matching, and the maximum bipartite b-matching of Step 2(d)–(e) is
+  computed (by max flow) only for a segment with a tied thread;
 * a FirstFit run on the segment is always computed as a safety net and the
   cheapest of the available per-segment schedules is kept.
 
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.instance import Instance
-from ..core.intervals import Interval, Job, span
+from ..core.intervals import Job, span
 from ..core.schedule import Machine, Schedule
 from ..graphs.bmatching import max_bipartite_b_matching
 from ..graphs.interval_graph import partition_into_independent_sets
@@ -105,13 +109,17 @@ def segment_jobs(instance: Instance, d: float) -> Dict[int, List[Job]]:
     return segments
 
 
-def _is_packing_schedule(
-    segment_instance: Instance,
-) -> Optional[List[List[Job]]]:
+def _is_packing_schedule(segment_instance: Instance) -> List[List[Job]]:
     """Step 2(c)–(e) analogue: thread decomposition + b-matching assignment.
 
-    Returns the machine blocks, or ``None`` when the b-matching cannot match
-    every independent set (callers then fall back to FirstFit).
+    Returns the machine blocks.  Every thread is matched, because grouping
+    the threads ``g`` at a time is itself a perfect b-matching.  A thread is
+    *tied* when its hull also fits inside a later group's hull, which needs
+    equal hull starts.  With no tied thread the grouping is the only perfect
+    b-matching (by induction on ``k``, groups ``0..k`` can only go to
+    machines ``0..k``, which they fill), so every maximum flow returns it and
+    the blocks are the groups; the flow runs only for a segment with a tied
+    thread.
     """
     jobs = list(segment_instance.jobs)
     if not jobs:
@@ -123,33 +131,48 @@ def _is_packing_schedule(
     # candidate machine; the machine's guessed busy interval is the hull of
     # its group (this plays the role of the paper's guessed (s(M_i), busy_i)).
     threads.sort(key=lambda t: (min(j.start for j in t), -span(t)))
-    machine_hulls: List[Interval] = []
-    initial_groups: List[List[int]] = []
-    for i in range(0, len(threads), g):
-        group = list(range(i, min(i + g, len(threads))))
-        initial_groups.append(group)
-        lo = min(min(j.start for j in threads[k]) for k in group)
-        hi = max(max(j.end for j in threads[k]) for k in group)
-        machine_hulls.append(Interval(lo, hi))
+    hulls = [(min(j.start for j in t), max(j.end for j in t)) for t in threads]
+    groups = [range(i, min(i + g, len(threads))) for i in range(0, len(threads), g)]
+    machine_hulls = [
+        (hulls[group[0]][0], max(hulls[h][1] for h in group)) for group in groups
+    ]
+    if not _has_tied_thread(hulls, machine_hulls, g):
+        return [[job for h in group for job in threads[h]] for group in groups]
 
     # Bipartite graph: machine m -- thread h admissible when the thread's
     # hull fits inside the machine's guessed busy interval.
     left_caps = {m: g for m in range(len(machine_hulls))}
     right_caps = {h: 1 for h in range(len(threads))}
-    edges: List[Tuple[int, int]] = []
-    for m, hull in enumerate(machine_hulls):
-        for h, thread in enumerate(threads):
-            lo = min(j.start for j in thread)
-            hi = max(j.end for j in thread)
-            if hull.start <= lo and hi <= hull.end:
-                edges.append((m, h))
+    edges = [
+        (m, h)
+        for m, (lo, hi) in enumerate(machine_hulls)
+        for h, (start, end) in enumerate(hulls)
+        if lo <= start and end <= hi
+    ]
     result = max_bipartite_b_matching(left_caps, right_caps, edges)
-    if result.size < len(threads):
-        return None
     blocks: List[List[Job]] = [[] for _ in machine_hulls]
     for m, h in result.edges:
         blocks[m].extend(threads[h])
     return [b for b in blocks if b]
+
+
+def _has_tied_thread(
+    hulls: Sequence[Tuple[float, float]],
+    machine_hulls: Sequence[Tuple[float, float]],
+    g: int,
+) -> bool:
+    """Whether some thread's hull fits inside the hull of a later group.
+
+    ``hulls`` are sorted by start, so a later group starts no earlier than
+    the thread and only groups starting exactly where it starts can hold it.
+    """
+    for h, (start, end) in enumerate(hulls):
+        m = h // g + 1
+        while m < len(machine_hulls) and machine_hulls[m][0] <= start:
+            if end <= machine_hulls[m][1]:
+                return True
+            m += 1
+    return False
 
 
 def bounded_length(
@@ -210,16 +233,14 @@ def bounded_length(
             candidates.append(("exact", exact))
         else:
             blocks = _is_packing_schedule(seg_instance)
-            if blocks is not None:
-                packing_machines = tuple(
+            packing = Schedule(
+                instance=seg_instance,
+                machines=tuple(
                     Machine(index=i, jobs=tuple(b)) for i, b in enumerate(blocks)
-                )
-                packing = Schedule(
-                    instance=seg_instance,
-                    machines=packing_machines,
-                    algorithm="is_packing",
-                )
-                candidates.append(("is_packing", packing))
+                ),
+                algorithm="is_packing",
+            )
+            candidates.append(("is_packing", packing))
 
         solver, best = min(candidates, key=lambda c: c[1].total_busy_time)
         seg_solutions.append(

@@ -21,8 +21,12 @@ Correctness rests on two textbook facts:
 The module is written against plain adjacency data so it can be reused
 outside the scheduling context (it is a generic substrate); a thin wrapper
 over :mod:`networkx`'s preflow-push solver does the heavy lifting, with
-``O(V^2 sqrt(E))`` worst-case complexity — negligible next to the segment
-enumeration it serves.
+``O(V^2 sqrt(E))`` worst-case complexity.  That is not negligible: when
+Bounded_Length ran it on every packed segment it took about 41% of
+Bounded_Length's CPU on perfbench's cold-solve instances, so Bounded_Length
+now calls it only when its thread grouping is not the only perfect
+b-matching.  The flow network's nodes are integers, so the matching found
+is the same in every process, whatever the hash seed.
 """
 
 from __future__ import annotations
@@ -91,24 +95,28 @@ def max_bipartite_b_matching(
             if cap < 0:
                 raise ValueError(f"{side} capacity of {node!r} is negative")
 
+    # Integer node labels: the solver iterates sets of nodes, and the order
+    # of a set of strings or tuples of strings changes with the hash seed,
+    # which would make the matching found depend on the process.
+    left = {u: k for k, u in enumerate(left_capacities, start=1)}
+    right = {v: k for k, v in enumerate(right_capacities, start=len(left) + 1)}
+    source, sink = 0, len(left) + len(right) + 1
     graph = nx.DiGraph()
-    source, sink = ("__source__",), ("__sink__",)
     for u, cap in left_capacities.items():
-        graph.add_edge(source, ("L", u), capacity=int(cap))
+        graph.add_edge(source, left[u], capacity=int(cap))
     for v, cap in right_capacities.items():
-        graph.add_edge(("R", v), sink, capacity=int(cap))
+        graph.add_edge(right[v], sink, capacity=int(cap))
     for u, v in edge_list:
-        graph.add_edge(("L", u), ("R", v), capacity=1)
+        graph.add_edge(left[u], right[v], capacity=1)
 
     if not edge_list:
         return BMatchingResult(edges=(), size=0)
 
-    flow_value, flow_dict = nx.maximum_flow(graph, source, sink)
-    matched: List[Tuple[Hashable, Hashable]] = []
-    for u, v in edge_list:
-        if flow_dict.get(("L", u), {}).get(("R", v), 0) >= 1:
-            matched.append((u, v))
-    return BMatchingResult(edges=tuple(matched), size=len(matched))
+    _, flow_dict = nx.maximum_flow(graph, source, sink)
+    matched = tuple(
+        (u, v) for u, v in edge_list if flow_dict[left[u]].get(right[v], 0) >= 1
+    )
+    return BMatchingResult(edges=matched, size=len(matched))
 
 
 def is_valid_b_matching(

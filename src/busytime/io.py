@@ -304,21 +304,26 @@ def instance_rows_from_dict(data: Mapping[str, object]) -> InstanceRows:
             raise ValueError(f"job row {position}: {exc}") from None
         check_interval_fields(start, end)
         get = row.get
-        weight = float(get("weight", 1.0))
-        tag = str(get("tag", ""))
-        demand = get("demand", 1)
-        if type(demand) is not int or not -_EXACT_INT <= demand <= _EXACT_INT:
-            demand = _demand_from_field(demand)
-        release = get("release")
-        if release is not None:
-            release = float(release)
-            if releases is None:
-                releases = [None] * position
-        deadline = get("deadline")
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadlines is None:
-                deadlines = [None] * position
+        try:
+            weight = float(get("weight", 1.0))
+            tag = str(get("tag", ""))
+            demand = get("demand", 1)
+            if type(demand) is not int or not -_EXACT_INT <= demand <= _EXACT_INT:
+                demand = _demand_from_field(demand)
+            release = get("release")
+            if release is not None:
+                release = float(release)
+                if releases is None:
+                    releases = [None] * position
+            deadline = get("deadline")
+            if deadline is not None:
+                deadline = float(deadline)
+                if deadlines is None:
+                    deadlines = [None] * position
+        except OverflowError as exc:
+            # An integer literal too large for a float, as a weight, demand,
+            # release or deadline.
+            raise ValueError(f"job row {position}: {exc}") from None
         check_job_fields(start, end, weight, demand, release, deadline)
         ids.append(job_id)
         starts.append(start)

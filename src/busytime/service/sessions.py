@@ -58,7 +58,7 @@ from ..extensions.dynamic import (
     SimulationPolicy,
     Simulator,
 )
-from ..io import trace_event_from_dict, trace_event_to_dict
+from ..io import _int_field, trace_event_from_dict, trace_event_to_dict
 from .service import ServiceDrainingError, SolveService
 from .store import ResultStore
 
@@ -232,14 +232,14 @@ class SessionConfig:
             raise SessionValidationError('"horizon" must be a [start, end] pair')
         try:
             config = cls(
-                g=int(doc["g"]),  # type: ignore[arg-type]
+                g=_int_field(doc["g"], '"g"'),
                 horizon=(float(horizon[0]), float(horizon[1])),
                 policy=str(doc.get("policy", "never_migrate")),
                 replan_period=(
                     None if doc.get("replan_period") is None
                     else float(doc["replan_period"])  # type: ignore[arg-type]
                 ),
-                budget=int(doc.get("budget", 4)),  # type: ignore[arg-type]
+                budget=_int_field(doc.get("budget", 4), '"budget"'),
                 algorithm=(
                     None if doc.get("algorithm", "first_fit") is None
                     else str(doc.get("algorithm", "first_fit"))
@@ -247,9 +247,11 @@ class SessionConfig:
                 placement=str(doc.get("placement", "first_fit")),
                 oracle_check_every=(
                     None if doc.get("oracle_check_every") is None
-                    else int(doc["oracle_check_every"])  # type: ignore[arg-type]
+                    else _int_field(doc["oracle_check_every"], '"oracle_check_every"')
                 ),
-                checkpoint_every=int(doc.get("checkpoint_every", 1)),  # type: ignore[arg-type]
+                checkpoint_every=_int_field(
+                    doc.get("checkpoint_every", 1), '"checkpoint_every"'
+                ),
                 tenant=str(doc.get("tenant", "default")),
                 name=str(doc.get("name", "")),
                 latency_slo_ms=(
@@ -257,7 +259,9 @@ class SessionConfig:
                     else float(doc["latency_slo_ms"])  # type: ignore[arg-type]
                 ),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: an integer literal too large for a float, as a
+            # horizon end, replan period or latency budget.
             raise SessionValidationError(f"malformed session config: {exc}") from None
         config.validate()
         return config

@@ -1,6 +1,12 @@
 """Tests for the Section 3.2 Bounded_Length algorithm (Theorem 3.2, Lemma 3.3)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,11 @@ from busytime.core.bounds import best_lower_bound
 from busytime.core.instance import Instance
 from busytime.exact import exact_optimal_cost
 from busytime.generators import bounded_length_instance, uniform_random_instance
+from busytime.service import SolveService
+from busytime.service.frontend import _request_from_document
+from perfbench import workloads as wl
+
+from test_bounded_length_pin import DIGESTS, corpus
 
 
 class TestSegmentation:
@@ -124,3 +135,86 @@ class TestTheorem32:
                 by_segment.setdefault(int(math.floor(j.start / d)), []).append(j)
             split_cost += sum(span(jobs) for jobs in by_segment.values())
         assert split_cost <= 2.0 * ff.total_busy_time + 1e-9
+
+
+class TestFlowOnlyForTiedThreads:
+    """Step 2's max flow runs only for a segment with a tied thread.
+
+    Elsewhere the thread grouping is the only perfect b-matching and is
+    built directly.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        module = sys.modules["busytime.algorithms.bounded_length"]
+        counts = {"flow": 0, "packing": 0}
+
+        def counted(key, real):
+            def wrapper(*args):
+                counts[key] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            module,
+            "max_bipartite_b_matching",
+            counted("flow", module.max_bipartite_b_matching),
+        )
+        monkeypatch.setattr(
+            module, "_is_packing_schedule", counted("packing", module._is_packing_schedule)
+        )
+        return counts
+
+    def test_no_flow_on_the_pinned_instances(self, calls):
+        for name in DIGESTS:
+            for instance in corpus(name):
+                bounded_length(instance)
+        assert calls["packing"] > 0
+        assert calls["flow"] == 0
+
+    def test_no_flow_on_a_solve_cold_cycle(self, calls):
+        service = SolveService()
+        try:
+            for index in range(wl.COLD_CYCLE):
+                document = json.loads(wl.cold_op(1, index).body)
+                service.result(service.submit(_request_from_document(document)))
+        finally:
+            service.close()
+        assert calls["packing"] > 0
+        assert calls["flow"] == 0
+
+    def test_flow_runs_on_tied_integral_starts(self, calls):
+        bounded_length(bounded_length_instance(200, 5, d=5.0, seed=13))
+        assert calls["flow"] >= 1
+
+
+_HASH_SEED_SCRIPT = textwrap.dedent(
+    """
+    from busytime.algorithms import bounded_length
+    from busytime.generators import bounded_length_instance
+
+    schedule = bounded_length(bounded_length_instance(200, 5, d=5.0, seed=13))
+    print([[job.id for job in machine.jobs] for machine in schedule.machines])
+    print(repr(schedule.total_busy_time))
+    """
+)
+
+
+def test_same_schedule_under_every_hash_seed():
+    # Tied threads leave the matching to the max flow; its answer must not
+    # depend on the process's string hashing.
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

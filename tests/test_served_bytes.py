@@ -307,6 +307,16 @@ REFUSALS = [
      "job release must not be NaN"),
     ("deadline-text", {"instance": _doc([dict(_OK, deadline="x")])},
      "could not convert string to float: 'x'"),
+    ("start-huge-int", {"instance": _doc([dict(_OK, start=10**400)])},
+     "job row 0: int too large to convert to float"),
+    ("weight-huge-int", {"instance": _doc([dict(_OK, weight=10**400)])},
+     "job row 0: int too large to convert to float"),
+    ("demand-huge-int", {"instance": _doc([_OK, dict(_OK, id=1, demand=10**400)])},
+     "job row 1: int too large to convert to float"),
+    ("release-huge-int", {"instance": _doc([dict(_OK, release=-10**400)])},
+     "job row 0: int too large to convert to float"),
+    ("deadline-huge-int", {"instance": _doc([dict(_OK, deadline=10**400)])},
+     "job row 0: int too large to convert to float"),
     ("first-bad-row-wins", {"instance": _doc([_OK, dict(_OK, id=1, start="s"), {"end": 2}])},
      "could not convert string to float: 's'"),
     ("row-before-g", {"instance": _doc([dict(_OK, weight=-1)], g=0)},

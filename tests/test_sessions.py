@@ -126,10 +126,13 @@ def stream_config(trace, policy_name, period, budget, **overrides):
 
 
 def http_post(url, path, body):
-    """Raw POST returning (status, payload, headers) — errors included."""
+    """Raw POST returning (status, payload, headers) — errors included.
+
+    ``body`` is a JSON-serialisable document, or the bytes to send as is.
+    """
     request = urllib.request.Request(
         url.rstrip("/") + path,
-        data=json.dumps(body).encode("utf-8"),
+        data=body if isinstance(body, bytes) else json.dumps(body).encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
@@ -957,6 +960,48 @@ class TestHTTPEndpoints:
             status, payload, _ = http_post(url, "/sessions", body)
             assert status == 400, body
             assert "error" in payload
+
+    def test_integer_fields_are_a_400_that_names_the_field(self, http_server, capsys):
+        # int() read 2.9 as 2, "3" as 3 and true as 1, and raised
+        # OverflowError on 1e400 (json.loads reads it as inf): a 500.
+        url, _, _ = http_server
+        for body, message in (
+            ({"g": 2.9}, '"g" must be a finite integer, got 2.9'),
+            ({"g": "3"}, '"g" must be a finite integer, got \'3\''),
+            (b'{"g": 1e400, "horizon": [0, 10]}', '"g" must be a finite integer, got inf'),
+            ({"budget": True}, '"budget" must be a finite integer, got True'),
+            ({"budget": 2.5}, '"budget" must be a finite integer, got 2.5'),
+            (
+                {"oracle_check_every": 2.5},
+                '"oracle_check_every" must be a finite integer, got 2.5',
+            ),
+            (
+                {"checkpoint_every": True},
+                '"checkpoint_every" must be a finite integer, got True',
+            ),
+            (
+                b'{"g": 2, "checkpoint_every": 1e400, "horizon": [0, 10]}',
+                '"checkpoint_every" must be a finite integer, got inf',
+            ),
+            (
+                b'{"g": 2, "horizon": [0, 1' + b"0" * 400 + b"]}",
+                "int too large to convert to float",
+            ),
+        ):
+            if not isinstance(body, bytes):
+                body = {"g": 2, "horizon": [0, 10], **body}
+            status, payload, _ = http_post(url, "/sessions", body)
+            assert status == 400, body
+            assert payload["error"] == f"malformed session config: {message}", body
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_integral_and_null_integer_fields_are_accepted(self):
+        config = SessionConfig.from_dict(
+            {"g": 2.0, "horizon": [0, 10], "budget": 3.0, "oracle_check_every": None}
+        )
+        assert (config.g, config.budget) == (2, 3)
+        assert type(config.g) is int and type(config.budget) is int
+        assert config.oracle_check_every is None  # null means off
 
     def test_policy_constructor_refusals_are_a_400(self, http_server, capsys):
         # The policy constructors' own ValueErrors must surface as a 400
