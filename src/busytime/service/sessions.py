@@ -320,7 +320,7 @@ class Session:
             )
         try:
             events = [trace_event_from_dict(row) for row in rows]
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise SessionValidationError(f"malformed event row: {exc}") from None
         # Duplicate delivery of an already-applied prefix: skip, don't re-apply.
         events = events[self.applied - offset:]

@@ -574,6 +574,14 @@ class TestAdmission:
             )
             assert status == 400
             assert "event row must be a JSON object" in payload["error"]
+        # So is a number too large for a float (it raised OverflowError: a
+        # 500 that dropped the live session).
+        huge = dict(rows[5], job=dict(rows[5]["job"], end=10**400))
+        status, payload, _ = http_post(
+            url, f"/sessions/{sid}/events", {"events": rows[:5] + [huge], "first_offset": 0}
+        )
+        assert status == 400
+        assert payload["error"] == "malformed event row: int too large to convert to float"
         assert session_call(url, f"/sessions/{sid}/assignment")["applied"] == 0
         assert server.sessions.stats()["resumed"] == 0
         # The same five valid rows then apply cleanly from offset 0.
