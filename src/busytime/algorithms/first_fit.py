@@ -14,14 +14,20 @@ Guarantees proved in the paper:
 * **Theorem 2.5** — the approximation ratio of FirstFit is between 3 and 4.
 
 The implementation answers the "does job J fit on machine M_i" query from
-each machine's incrementally maintained sweep-line load profile
-(:class:`~busytime.core.events.SweepProfile`): a fit test costs
-``O(log k + w)`` — ``k`` breakpoints on the machine, ``w`` of them inside
-J's window — and an assignment updates the profile in ``O(k)`` worst case,
-for ``O(n * (m * (log k + w) + k))`` overall with ``m`` the number of
-opened machines.  This replaces the seed's clip-and-rescan check (re-deriving the
-peak overlap from the machine's whole job list per query, ``O(n * m * g
-log g)`` overall), which capped benchmarkable instance sizes; see
+each machine's incrementally maintained state in
+:class:`~busytime.core.schedule.ScheduleBuilder`.  In the rigid model
+(unit demands, no site capacity) J fits exactly when its window meets none
+of the machine's *saturated runs*, the maximal runs where ``g`` of its
+jobs already run, so a fit test is one bisection, ``O(log r)`` for ``r``
+runs on the machine.  With demands or a site cap it is the window maximum
+of the machine's sweep-line load profile
+(:class:`~busytime.core.events.SweepProfile`), ``O(log k + w)`` for ``k``
+breakpoints on the machine and ``w`` of them inside J's window.  An
+assignment updates the profile, and the runs meeting J's window, in
+``O(k)`` worst case.  This replaces the seed's clip-and-rescan check
+(re-deriving the peak overlap from the machine's whole job list per query,
+``O(n * m * g log g)`` overall with ``m`` the number of opened machines),
+which capped benchmarkable instance sizes; see
 ``benchmarks/test_bench_firstfit_scaling.py`` for the measured trajectory.
 """
 
@@ -121,8 +127,9 @@ def first_fit(instance: Instance) -> Schedule:
     records the processing order (job ids) for use by the certificate
     checks of experiment E10.  Unit-demand instances with at least
     :data:`BULK_FIRST_FIT_MIN` jobs route to the vectorized kernel (see
-    :func:`_bulk_first_fit` for the validation contract); everything else
-    takes the per-job builder path and is validated before being returned.
+    :func:`_bulk_first_fit`); everything else takes the per-job builder
+    path.  Neither path verifies the schedule it returns: callers that hand
+    it on run ``verify_schedule`` (``Engine.solve`` does).
     """
     if len(instance.jobs) >= BULK_FIRST_FIT_MIN and not instance.has_demands:
         schedule = _bulk_first_fit(instance)

@@ -18,10 +18,13 @@ consumed:
   load profile ``N_t`` of one machine's job set *across assignments*, so
   the greedy algorithms (FirstFit of Theorem 2.1, NextFit of Theorem 3.1)
   and the branch-and-bound search answer "does job ``J`` still fit under
-  the parallelism bound ``g``" from the maintained structure in
-  ``O(log k + w)`` time (``k`` breakpoints on the machine, ``w`` of them
-  inside ``J``'s window) instead of re-clipping and re-sorting the
-  machine's whole job list per query.
+  the parallelism bound ``g``" from the maintained structure instead of
+  re-clipping and re-sorting the machine's whole job list per query.  The
+  profile's own answer is the window maximum, ``O(log k + w)`` (``k``
+  breakpoints on the machine, ``w`` of them inside ``J``'s window); in the
+  rigid model the schedule builder keeps the profile's
+  :meth:`~SweepProfile.saturated_runs` per machine and answers with one
+  bisection, leaving the window maximum to demands and site caps.
 
 Closed-interval semantics are used throughout: at a coordinate where one job
 ends and another starts, both are considered active (start events are
@@ -701,6 +704,46 @@ class SweepProfile:
             if window_max > best:
                 best = window_max
         return best
+
+    def saturated_runs(
+        self, start: float, end: float, g: int
+    ) -> Tuple[List[float], List[float]]:
+        """The maximal closed runs of ``[start, end]`` where the load is at least ``g``.
+
+        Returned as two sorted lists, the runs' starts and their ends; a
+        run may be a single instant.  Since ``seg[i] <= min(point[i],
+        point[i+1])``, the instants at load ``g`` or more form closed runs
+        whose ends are breakpoints or the window's edges, so one pass over
+        the breakpoints inside the window finds them.  In the rigid model a
+        job ``[s, e]`` fits under ``g`` exactly when it meets none of the
+        runs of the whole line (:meth:`ScheduleBuilder.fits
+        <busytime.core.schedule.ScheduleBuilder.fits>` keeps them per
+        machine).
+        """
+        times, point, seg = self._times, self._point, self._seg
+        lo = bisect_left(times, start)
+        hi = bisect_right(times, end)
+        starts: List[float] = []
+        ends: List[float] = []
+        # A window starting inside a saturated segment opens a run at once.
+        run = (
+            start
+            if 0 < lo < len(times) and times[lo] != start and seg[lo - 1] >= g
+            else None
+        )
+        for k in range(lo, hi):
+            if run is None:
+                if point[k] < g:
+                    continue
+                run = times[k]
+            if seg[k] < g:
+                starts.append(run)
+                ends.append(times[k])
+                run = None
+        if run is not None:
+            starts.append(run)
+            ends.append(end)
+        return starts, ends
 
     def covered_measure_in(self, start: float, end: float) -> float:
         """Measure of ``[start, end]`` covered by at least one stored interval.

@@ -35,6 +35,7 @@ what the result store keeps and what a stored document parses into;
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -761,10 +762,17 @@ class ScheduleBuilder:
     The builder maintains, per machine, the list of assigned jobs *and* an
     incrementally updated :class:`~busytime.core.events.SweepProfile`, so the
     feasibility query the greedy algorithms need (``fits``) is answered from
-    the maintained machine state in ``O(log k + w)`` instead of re-clipping
-    the machine's whole job list per query.  Machines are indexed from 0 in
-    order of opening, matching the paper's ``M_1, M_2, ...`` numbering
-    shifted by one.
+    the maintained machine state instead of re-clipping the machine's whole
+    job list per query.  In the rigid model (unit demands, no site
+    capacity) a job fits a machine exactly when its window meets no instant
+    at which the machine already runs ``g`` jobs, so the builder also keeps
+    each machine's saturated runs
+    (:meth:`~busytime.core.events.SweepProfile.saturated_runs`) and answers
+    ``fits`` with one bisection over them.  With demands or a site cap
+    ``fits`` takes the window maximum of the profile, in ``O(log k + w)``
+    (``k`` breakpoints on the machine, ``w`` of them inside the job's
+    window).  Machines are indexed from 0 in order of opening, matching the
+    paper's ``M_1, M_2, ...`` numbering shifted by one.
     """
 
     def __init__(self, instance: Instance, algorithm: str = "") -> None:
@@ -774,6 +782,12 @@ class ScheduleBuilder:
         self._profiles: List[SweepProfile] = []
         self._assigned: Dict[int, int] = {}
         self.meta: Dict[str, object] = {}
+        # Per machine, the sorted starts and the sorted ends of the maximal
+        # closed runs at load >= g; None when the rigid model does not hold,
+        # so that ``fits`` asks the profile instead.
+        self._runs: Optional[List[Tuple[List[float], List[float]]]] = None
+        if instance.site_capacity is None and not instance.has_demands:
+            self._runs = []
         # Site-wide capacity state: one extra profile over *all* machines,
         # pre-seeded with the inflexible background bands, consulted by
         # ``fits`` alongside the per-machine check.
@@ -866,7 +880,14 @@ class ScheduleBuilder:
         must leave room for ``job.demand`` under ``g`` (the cardinality
         check of the rigid model when all demands are 1).  Under a
         site-wide capacity cap the site profile must admit the job too.
+        In the rigid model the answer is one bisection over the machine's
+        saturated runs: the job fits when the first run ending at or after
+        its start begins after its end.
         """
+        if self._runs is not None and job.demand == 1:
+            starts, ends = self._runs[machine_index]
+            k = bisect_left(ends, job.start)
+            return k == len(ends) or starts[k] > job.end
         if not self._profiles[machine_index].fits(
             job.start, job.end, self.instance.g, demand=job.demand
         ):
@@ -875,9 +896,18 @@ class ScheduleBuilder:
 
     def first_fitting_machine(self, job: Job) -> Optional[int]:
         """Lowest-index machine that can accommodate ``job``, or None."""
-        for idx in range(len(self._machines)):
-            if self.fits(idx, job):
+        if self._runs is None or job.demand != 1:
+            for idx in range(len(self._machines)):
+                if self.fits(idx, job):
+                    return idx
+            return None
+        start, end = job.start, job.end
+        idx = 0
+        for starts, ends in self._runs:
+            k = bisect_left(ends, start)
+            if k == len(ends) or starts[k] > end:
                 return idx
+            idx += 1
         return None
 
     def best_fitting_machine(self, job: Job) -> Optional[int]:
@@ -906,6 +936,8 @@ class ScheduleBuilder:
         """Open a new, empty machine; returns its index."""
         self._machines.append([])
         self._profiles.append(SweepProfile())
+        if self._runs is not None:
+            self._runs.append(([], []))
         return len(self._machines) - 1
 
     def assign(self, machine_index: int, job: Job) -> None:
@@ -921,6 +953,29 @@ class ScheduleBuilder:
         if self._site is not None:
             self._site.add(job.start, job.end, demand=job.demand)
         self._assigned[job.id] = machine_index
+        if self._runs is not None:
+            if job.demand != 1:
+                # A demand leaves the rigid model: the profiles answer from now on.
+                self._runs = None
+            elif self._profiles[machine_index].count >= self.instance.g:
+                self._refresh_runs(machine_index, job.start, job.end)
+
+    def _refresh_runs(self, machine_index: int, start: float, end: float) -> None:
+        """Re-read the machine's saturated runs that meet ``[start, end]``.
+
+        Adding or removing ``[start, end]`` changes the load only inside it,
+        so only the runs meeting it can grow, merge, shrink or split; they
+        are replaced by the runs the profile now has over their hull.
+        """
+        starts, ends = self._runs[machine_index]
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end)
+        if lo < hi:
+            start = min(start, starts[lo])
+            end = max(end, ends[hi - 1])
+        starts[lo:hi], ends[lo:hi] = self._profiles[machine_index].saturated_runs(
+            start, end, self.instance.g
+        )
 
     def assign_first_fit(self, job: Job) -> int:
         """Assign ``job`` to the first machine that fits, opening one if needed."""
@@ -961,6 +1016,8 @@ class ScheduleBuilder:
         if self._site is not None:
             self._site.remove(removed.start, removed.end, demand=removed.demand)
         del self._assigned[job.id]
+        if self._runs is not None and self._runs[machine_index][0]:
+            self._refresh_runs(machine_index, removed.start, removed.end)
         return machine_index
 
     # -- output ----------------------------------------------------------------

@@ -59,6 +59,7 @@ on ``urllib``) so ``busytime submit`` needs no extra dependency either.
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 import threading
@@ -121,6 +122,27 @@ _REQUEST_OPTIONS = {
 _DEFAULT_RACE_WIDTH = 4
 
 
+def _finite_option(key: str, value) -> float:
+    """The budget option ``key`` as a float, refused by name unless finite.
+
+    ``json.loads`` reads ``1e400`` as an infinity, and an integer literal
+    with hundreds of digits does not fit a float at all (``float()`` raises
+    ``OverflowError``, which is not a refusal).  NaN passes:
+    :meth:`SolveRequest.validate <busytime.engine.request.SolveRequest.validate>`
+    refuses it as a negative budget.
+    """
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(
+            f'option "{key}" must be a finite number, got an integer too '
+            f"large for a float"
+        ) from None
+    if number in (math.inf, -math.inf):
+        raise ValueError(f'option "{key}" must be a finite number, got {number}')
+    return number
+
+
 def _request_from_document(doc: Mapping[str, object]) -> SolveRequest:
     """Build a :class:`SolveRequest` from a ``POST /solve`` body.
 
@@ -156,6 +178,10 @@ def _request_from_document(doc: Mapping[str, object]) -> SolveRequest:
                 f'option "{key}" must be {names}, got {type(value).__name__}'
             )
         kwargs[key] = value
+    if kwargs.get("time_limit") is not None:
+        # Checked, not converted: an integral time_limit keeps its JSON form
+        # in the request's fingerprint.
+        _finite_option("time_limit", kwargs["time_limit"])
     if "deadline_ms" in options and options["deadline_ms"] is not None:
         # Wire clients speak milliseconds (the natural unit for request
         # deadlines); the engine's SolveRequest speaks seconds.
@@ -165,7 +191,7 @@ def _request_from_document(doc: Mapping[str, object]) -> SolveRequest:
                 f'option "deadline_ms" must be int/float/null, '
                 f"got {type(deadline_ms).__name__}"
             )
-        kwargs["deadline"] = float(deadline_ms) / 1000.0
+        kwargs["deadline"] = _finite_option("deadline_ms", deadline_ms) / 1000.0
         # A deadline implies racing: default the width when the client did
         # not pick one (SolveRequest.validate rejects deadline without it).
         kwargs.setdefault("race", _DEFAULT_RACE_WIDTH)

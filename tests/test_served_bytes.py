@@ -346,6 +346,14 @@ REFUSALS = [
     ("options-list", {"instance": _doc([_OK]), "options": [1]}, '"options" must be a JSON object'),
     ("option-type", {"instance": _doc([_OK]), "options": {"race": "3"}},
      'option "race" must be int, got str'),
+    ("time-limit-huge-int", {"instance": _doc([_OK]), "options": {"time_limit": 10**400}},
+     'option "time_limit" must be a finite number, got an integer too large for a float'),
+    ("deadline-ms-huge-int", {"instance": _doc([_OK]), "options": {"deadline_ms": 10**400}},
+     'option "deadline_ms" must be a finite number, got an integer too large for a float'),
+    ("time-limit-inf", {"instance": _doc([_OK]), "options": {"time_limit": math.inf}},
+     'option "time_limit" must be a finite number, got inf'),
+    ("deadline-ms-inf", {"instance": _doc([_OK]), "options": {"deadline_ms": -math.inf}},
+     'option "deadline_ms" must be a finite number, got -inf'),
     ("tags-list", {"instance": _doc([_OK]), "options": {"tags": [1]}},
      '"tags" must be a JSON object'),
 ]

@@ -936,6 +936,31 @@ class TestHTTPFrontend:
             "unknown policy 'learned'; available: ['best_ratio', 'first_fit']"
         )
 
+    def test_budgets_no_float_holds_are_a_400_that_names_the_option(self, http_service):
+        """An integer literal too large for a float used to drop the
+        connection (``deadline_ms``) or come back as a 413 repeating every
+        digit (``time_limit``); ``1e400`` read as an infinity."""
+        _, url = http_service
+        inst = json.dumps(bio.instance_to_dict(dyadic_instance(random.Random(96), 8, g=2)))
+        huge = "1" + "0" * 400
+        for key, literal, got in (
+            ("deadline_ms", huge, "an integer too large for a float"),
+            ("time_limit", huge, "an integer too large for a float"),
+            ("time_limit", "1e400", "inf"),
+            ("deadline_ms", "1e400", "inf"),
+        ):
+            body = f'{{"instance": {inst}, "options": {{"{key}": {literal}}}}}'
+            request = urllib.request.Request(
+                url + "/solve", data=body.encode("utf-8"), method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(request, timeout=10)
+            assert refused.value.code == 400, (key, literal)
+            assert json.loads(refused.value.read()) == {
+                "error": f'option "{key}" must be a finite number, got {got}'
+            }
+
     def test_admission_rejection_maps_to_413(self, http_service):
         _, url = http_service
         big = dyadic_instance(random.Random(94), 101, g=2)

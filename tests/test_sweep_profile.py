@@ -414,6 +414,166 @@ def test_builder_fits_matches_oracle_on_random_instances(maker, kwargs, seed):
     verify_schedule(schedule)
 
 
+# -- saturated runs: the rigid builder's fit test -----------------------------
+#
+# In the rigid model the builder answers ``fits`` from each machine's runs at
+# load >= g, refreshed on every assign and unassign.  Mutation sequences on
+# the integer grid (touching endpoints, zero-length jobs) are checked after
+# every step against the clip-and-rescan oracle and the brute-force load.
+
+grid_interval = st.tuples(coords, coords).map(lambda p: Interval(min(p), max(p)))
+#: (kind, what, target): "assign" a new job on interval ``what``,
+#: "unassign" the ``what``-th live job, "reassign" the ``what``-th departed
+#: one.  A job goes to machine ``target``, opening one when ``target`` is
+#: past the last, fitting or not; target 3 places it by first fit.
+builder_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("assign"), grid_interval, st.integers(0, 3)),
+        st.tuples(st.just("unassign"), st.integers(0, 99), st.just(None)),
+        st.tuples(st.just("reassign"), st.integers(0, 99), st.integers(0, 3)),
+    ),
+    max_size=30,
+)
+#: every closed window of length 0, 1 or 3 on the grid, and one past each end
+probe_jobs = [
+    Job(id=-1, interval=Interval(float(a), float(a + w)))
+    for a in range(-1, 13)
+    for w in (0, 1, 3)
+]
+
+
+def _saturated_points(jobs: Sequence[Job], g: int) -> List[float]:
+    """Grid points and half-points where at least ``g`` of ``jobs`` run."""
+    return [t / 2 for t in range(-2, 27) if point_load(jobs, t / 2) >= g]
+
+
+def _points_in(runs, lo: float = -1.0, hi: float = 13.0) -> List[float]:
+    """The grid points and half-points of ``[lo, hi]`` inside the runs."""
+    starts, ends = runs
+    assert starts == sorted(starts) and ends == sorted(ends)
+    assert all(lo <= a <= b <= hi for a, b in zip(starts, ends))
+    # Maximal runs are disjoint and never touch.
+    assert all(b < a for b, a in zip(ends, starts[1:]))
+    return [
+        t / 2
+        for t in range(int(2 * lo), int(2 * hi) + 1)
+        if any(a <= t / 2 <= b for a, b in zip(starts, ends))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), builder_ops)
+def test_rigid_builder_fits_matches_oracle_under_mutation(g, ops):
+    from busytime.core.instance import Instance
+
+    builder = ScheduleBuilder(Instance(jobs=(), g=g, name="runs"), algorithm="runs")
+    live: List[Job] = []
+    departed: List[Job] = []
+    for kind, what, target in ops:
+        if kind == "unassign" and live:
+            job = live.pop(what % len(live))
+            builder.unassign(job)
+            departed.append(job)
+        elif kind == "assign" or (kind == "reassign" and departed):
+            if kind == "assign":
+                job = Job(id=len(live) + len(departed), interval=what)
+            else:
+                job = departed.pop(what % len(departed))
+            if target == 3:
+                builder.assign_first_fit(job)
+            else:
+                if target >= builder.num_machines:
+                    target = builder.open_machine()
+                builder.assign(target, job)
+            live.append(job)
+        for i in range(builder.num_machines):
+            jobs = builder.jobs_on(i)
+            for probe in probe_jobs:
+                assert builder.fits(i, probe) == oracle_fits(jobs, probe, g), (
+                    f"fits({i}, {probe.interval}) diverges from the oracle"
+                )
+            runs = builder.profile_of(i).saturated_runs(-1.0, 13.0, g)
+            assert _points_in(runs) == _saturated_points(jobs, g)
+        for probe in probe_jobs:
+            assert builder.first_fitting_machine(probe) == next(
+                (i for i in range(builder.num_machines) if builder.fits(i, probe)),
+                None,
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_sets, st.tuples(coords, coords).map(lambda p: (min(p), max(p))))
+def test_saturated_runs_in_a_window_match_point_loads(ivs, window):
+    """Runs clipped to a window are the window's saturated points, for any
+    window edge (on a breakpoint, inside a segment, or outside the profile)."""
+    lo, hi = window
+    lo -= 0.5
+    prof = SweepProfile.from_intervals(ivs)
+    for g in (1, 2, 3):
+        expected = [
+            t / 2
+            for t in range(int(2 * lo), int(2 * hi) + 1)
+            if point_load(ivs, t / 2) >= g
+        ]
+        assert _points_in(prof.saturated_runs(lo, hi, g), lo, hi) == expected
+
+
+def test_a_demand_arriving_later_leaves_the_rigid_model():
+    """A builder over a rigid instance (a streaming session starts from an
+    empty one) answers from the profile once a job with a demand arrives."""
+    from busytime.core.instance import Instance
+
+    builder = ScheduleBuilder(Instance(jobs=(), g=3, name="stream"), algorithm="stream")
+    idx = builder.open_machine()
+    builder.assign(idx, Job(id=0, interval=Interval(0.0, 4.0)))
+    builder.assign(idx, Job(id=1, interval=Interval(2.0, 6.0), demand=2))
+    # Demand 3 on [2, 4] although only two jobs run there.
+    assert not builder.fits(idx, Job(id=2, interval=Interval(3.0, 3.0)))
+    assert builder.first_fitting_machine(Job(id=2, interval=Interval(3.0, 3.0))) is None
+    assert builder.fits(idx, Job(id=2, interval=Interval(4.5, 7.0)))
+
+
+def _count_calls(monkeypatch, name: str) -> List[int]:
+    calls = [0]
+    original = getattr(SweepProfile, name)
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepProfile, name, counted)
+    return calls
+
+
+def test_rigid_first_fit_never_takes_a_window_maximum(monkeypatch):
+    """FirstFit on a rigid instance answers every fit test from the runs."""
+    from busytime.algorithms.first_fit import first_fit
+    from perfbench import workloads as wl
+
+    cold = (wl.cold_op(1, index).instance for index in range(wl.COLD_CYCLE))
+    instance = next(i for i in cold if i.name.startswith("uniform"))
+    assert not instance.has_demands
+    window_maxima = _count_calls(monkeypatch, "max_load_in")
+    schedule = first_fit(instance)
+    assert window_maxima[0] == 0
+    # A window maximum would have been taken on every machine already
+    # holding g jobs that a job was probed against.
+    assert any(m.load >= instance.g for m in schedule.machines[:-1])
+
+
+def test_demand_first_fit_still_asks_the_profile(monkeypatch):
+    from busytime.algorithms.first_fit import first_fit
+    from perfbench import workloads as wl
+
+    cold = (wl.cold_op(1, index).instance for index in range(wl.COLD_CYCLE))
+    instance = next(i for i in cold if i.has_demands)
+    profile_fits = _count_calls(monkeypatch, "fits")
+    window_maxima = _count_calls(monkeypatch, "max_demand_in")
+    first_fit(instance)
+    assert profile_fits[0] > 0
+    assert window_maxima[0] > 0
+
+
 def test_profile_oracle_mismatch_raises_runtime_error():
     """A corrupted fast path must surface as an internal error, not as
     'schedule infeasible' (which ``is_feasible`` would silently swallow)."""
